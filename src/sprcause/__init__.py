@@ -39,7 +39,6 @@ from .validate import (
     Estimate,
     estimate_cause_probability,
     estimate_recall_probability,
-    interventional_difference,
     mean_point_baseline,
     subset_recall_gap,
     vertex_baseline,

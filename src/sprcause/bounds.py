@@ -123,36 +123,43 @@ def cause_probability_bound(cause: Iterable[int], batch: AnalysisBatch, confiden
     return tail_root(batch.n - n, batch.n, confidence)
 
 
+def recall_optimal(
+    member: frozenset[int], batch: AnalysisBatch, index: int, restrict: frozenset[int]
+) -> bool:
+    """Is `member` a recall-optimal SPR cause on sample `index`?
+
+    The member must be made of singleton causes within `restrict`, satisfy
+    minimality, and cover every effect path through the sample's canonical
+    cause over `restrict`.
+    """
+    a = batch.analyses[index]
+    return (
+        member <= (a.cause_states & restrict)
+        and satisfies_minimality(a.graph, batch.initial, member)
+        and recall_covers(
+            a.graph, member, batch.canonical(index, restrict),
+            effect=batch.effect, initial=batch.initial,
+        )
+    )
+
+
 def recall_sample_count(
     collection: Iterable[Iterable[int]],
     candidate_states: Iterable[int],
     batch: AnalysisBatch,
 ) -> int:
-    """Samples on which some member is a recall-optimal SPR cause.
+    """Samples on which some member is recall-optimal (`recall_optimal`).
 
-    The member must be made of singleton causes within the candidate
-    states, satisfy minimality, and cover every effect path through the
-    sample's canonical cause.  Samples whose canonical cause is empty have
-    nothing to cover and count as covered.
+    Samples whose canonical cause is empty have nothing to cover and count
+    as covered.
     """
     restrict = frozenset(candidate_states)
     members = [frozenset(c) for c in collection]
-    count = 0
-    for i, a in enumerate(batch.analyses):
-        canonical = batch.canonical(i, restrict)
-        if not canonical:
-            count += 1
-            continue
-        causes_here = a.cause_states & restrict
-        for member in members:
-            if member <= causes_here and satisfies_minimality(
-                a.graph, batch.initial, member
-            ) and recall_covers(
-                a.graph, member, canonical, effect=batch.effect, initial=batch.initial
-            ):
-                count += 1
-                break
-    return count
+    return sum(
+        1 for i in range(batch.n)
+        if not batch.canonical(i, restrict)
+        or any(recall_optimal(m, batch, i, restrict) for m in members)
+    )
 
 
 def recall_probability_bound(

@@ -18,18 +18,14 @@ import click
 import numpy as np
 
 from . import fixtures
-from .bounds import tail_root
+from .bounds import cause_sample_count, tail_root
+from .exact import DEFAULT_STATE_CAP
 from .gridworld import builtin_dist_json, builtin_env, generate, spec_from_json
 from .model import ModelError, instantiate, load_model, model_to_json
 from .sampling import DistError, load_dist
 from .solver import SolveConfig, solve
 from .sprcheck import is_spr_cause, singleton_causes
-from .validate import (
-    CapExceededError,
-    estimate_cause_probability,
-    estimate_recall_probability,
-    subset_recall_gap,
-)
+from .validate import CapExceededError, fresh_analyses, recall_gap
 
 click.UsageError.exit_code = 1
 
@@ -81,7 +77,9 @@ def main():
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--workers", type=int, default=None, help="parallel sample analysis (default: cpu count)")
 @click.option("--out", default=None, help="write the solution JSON here (default: stdout)")
-@click.option("--exact", is_flag=True, help="re-decide corner verdicts with exact arithmetic")
+@click.option("--exact", is_flag=True,
+              help="re-decide corner verdicts with exact arithmetic (models of at most "
+                   f"{DEFAULT_STATE_CAP} states; larger models log a warning and skip it)")
 @click.option("--geq-filter", is_flag=True, help="use >= delta instead of > delta in the state filter")
 @click.option("--verbose", is_flag=True, help="include per-sample canonical causes in the JSON")
 def identify(model_ref, dist_ref, n_samples, delta, beta, seed, workers, out, exact,
@@ -172,15 +170,13 @@ def validate(model_ref, dist_ref, solution_path, n_samples, seed, out, repeat):
         raise click.UsageError(f"solution file: {e}")
 
     def quantities(run_seed: int) -> list[tuple[str, float]]:
-        rows = []
-        for m in members:
-            est = estimate_cause_probability(pmodel, dist, m, n_samples, run_seed)
-            rows.append((f"F{sorted(pmodel.states[s] for s in m)}", est.value))
-        est_r = estimate_recall_probability(
-            pmodel, dist, members, candidates, n_samples, run_seed
-        )
-        rows.append(("R", est_r.value))
-        gap = subset_recall_gap(pmodel, dist, members, candidates, n_samples, run_seed)
+        analyses = fresh_analyses(pmodel, dist, n_samples, run_seed)
+        rows = [
+            (f"F{sorted(pmodel.states[s] for s in m)}", cause_sample_count(m, analyses) / n_samples)
+            for m in members
+        ]
+        gap = recall_gap(members, candidates, analyses, run_seed)
+        rows.append(("R", gap.full.value))
         rows.append(("R_sub_max", gap.max_subset_value))
         rows.append(("R_gap", gap.gap))
         return rows

@@ -142,6 +142,22 @@ def load_dist(path, params: tuple[str, ...] | None = None) -> DistSpec:
         return parse_dist(fh.read(), params)
 
 
+def align_dist(dist: DistSpec, names: tuple[str, ...]) -> DistSpec:
+    """Reorder the distribution's parameters to `names` (a model's order)."""
+    if dist.params == names:
+        return dist
+    if set(dist.params) != set(names):
+        raise ValueError(
+            f"distribution covers {sorted(dist.params)}, model needs {sorted(names)}"
+        )
+    perm = [dist.params.index(p) for p in names]
+    return DistSpec(
+        params=tuple(names),
+        weights=dist.weights,
+        components=tuple(tuple(comp[j] for j in perm) for comp in dist.components),
+    )
+
+
 def _draw_one(dist: DistSpec, seed: int, index: int) -> np.ndarray:
     gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
     u = gen.random()

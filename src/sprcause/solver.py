@@ -24,20 +24,15 @@ from .bounds import (
     SampleAnalysis,
     cause_probability_bound,
     cause_sample_count,
+    recall_optimal,
     recall_sample_count,
     tail_root,
 )
 from .model import ParametricModel, instantiate, support_graph
 from .reach import KAPPA_ACT
-from .sprcheck import (
-    KAPPA,
-    recall_covers,
-    satisfies_minimality,
-    single_state_verdict_exact,
-    singleton_causes,
-)
+from .sprcheck import KAPPA, single_state_verdict_exact, singleton_causes
 from . import exact as exact_mod
-from .sampling import DistSpec, SampleBatch, sample
+from .sampling import DistSpec, SampleBatch, align_dist, sample
 
 log = logging.getLogger(__name__)
 
@@ -127,6 +122,11 @@ def analyze_batch(
     pmodel: ParametricModel, batch: SampleBatch, config: SolveConfig = SolveConfig()
 ) -> AnalysisBatch:
     """Singleton-cause analysis for every sampled point (duplicates shared)."""
+    if config.exact_corners and pmodel.n_states > config.exact_state_cap:
+        log.warning(
+            "exact corners (--exact) skipped: %d states exceed the exact state cap %d",
+            pmodel.n_states, config.exact_state_cap,
+        )
     points = [tuple(float(x) for x in p) for p in batch.points]
     distinct = sorted(set(points))
     if config.workers > 1 and len(distinct) > 1:
@@ -181,19 +181,12 @@ def cover_set(
 def _cover_of(
     member: frozenset[int], batch: AnalysisBatch, candidate_states: frozenset[int]
 ) -> frozenset[int]:
-    covered = set()
-    for j, a in enumerate(batch.analyses):
-        canonical_j = batch.canonical(j, candidate_states)
-        if not canonical_j:
-            covered.add(j)
-            continue
-        if (
-            member <= (a.cause_states & candidate_states)
-            and satisfies_minimality(a.graph, batch.initial, member)
-            and recall_covers(a.graph, member, canonical_j, effect=batch.effect, initial=batch.initial)
-        ):
-            covered.add(j)
-    return frozenset(covered)
+    # a sample with an empty canonical cause has nothing to cover
+    return frozenset(
+        j for j in range(batch.n)
+        if not batch.canonical(j, candidate_states)
+        or recall_optimal(member, batch, j, candidate_states)
+    )
 
 
 def select_indices(cover_sets: dict[int, frozenset[int]], universe: frozenset[int]) -> list[int]:
@@ -247,7 +240,7 @@ def solve(
         raise ValueError(f"delta {delta} outside [0, 1)")
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta {beta} outside (0, 1)")
-    dist = _align_dist(dist, pmodel)
+    dist = align_dist(dist, pmodel.param_space.names)
     batch = sample(dist, n_samples, seed)
     analyses = analyze_batch(pmodel, batch, config)
     return solve_from_analyses(pmodel, analyses, delta, beta, seed, config, verbose)
@@ -327,21 +320,4 @@ def solve_from_analyses(
         canonical_causes=(
             tuple(tuple(sorted(names[s] for s in c)) for c in canonicals) if verbose else None
         ),
-    )
-
-
-def _align_dist(dist: DistSpec, pmodel: ParametricModel) -> DistSpec:
-    """Reorder distribution parameters to the model's parameter order."""
-    want = pmodel.param_space.names
-    if dist.params == want:
-        return dist
-    if set(dist.params) != set(want):
-        raise ValueError(
-            f"distribution covers {sorted(dist.params)}, model needs {sorted(want)}"
-        )
-    perm = [dist.params.index(p) for p in want]
-    return DistSpec(
-        params=want,
-        weights=dist.weights,
-        components=tuple(tuple(comp[j] for j in perm) for comp in dist.components),
     )

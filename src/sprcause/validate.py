@@ -1,9 +1,11 @@
-"""Independent estimation of cause and recall probabilities, baselines,
-and interventional diagnostics.
+"""Monte-Carlo estimates of the cause and recall probabilities, and the
+NA1/NA2 single-point baselines.
 
-The Monte-Carlo estimators draw fresh parameter samples and evaluate the
-defining indicator of each probability directly (graph characterization
-for recall optimality; no policy optimization), so they are usable as
+One analysis per fresh point, queried for every quantity: `fresh_analyses`
+draws the batch and runs `identify`'s own per-sample analysis once on each
+point, and every estimate (F per member, R, R of each proper subset) is a
+count over that one batch through the predicates the bounds use.  The
+points are fresh and the estimates plain fractions, so they serve as
 oracles against the PAC bounds.
 """
 
@@ -14,23 +16,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
-from .model import ConcreteModel, ParametricModel, instantiate, support_graph
-from .reach import max_reach
-from .sampling import DistSpec, mean_point, sample, support_vertices
-from .sprcheck import (
-    canonical_cause,
-    cause_front,
-    is_spr_cause,
-    recall_covers,
-    satisfies_minimality,
-    singleton_cause_set,
-)
+from .bounds import AnalysisBatch, cause_sample_count, recall_optimal
+from .model import ParametricModel, instantiate
+from .sampling import DistSpec, align_dist, mean_point, sample, support_vertices
+from .solver import analyze_batch
+from .sprcheck import canonical_cause
 
 SUBSET_CAP = 12
-INTERVENTION_STATE_CAP = 10
-INTERVENTION_ACTION_CAP = 2
 
 
 class CapExceededError(ValueError):
@@ -49,6 +41,32 @@ class Estimate:
         return 3.0 * math.sqrt(self.value * (1.0 - self.value) / self.n_samples)
 
 
+def fresh_analyses(
+    pmodel: ParametricModel, dist: DistSpec, n_samples: int, seed: int
+) -> AnalysisBatch:
+    """Draw `n_samples` points and analyse each once, as `identify` does."""
+    dist = align_dist(dist, pmodel.param_space.names)
+    return analyze_batch(pmodel, sample(dist, n_samples, seed))
+
+
+def _recall_masks(
+    members: list[frozenset[int]], candidate_states: Iterable[int], analyses: AnalysisBatch
+) -> list[int]:
+    """Per sample, the bitmask of the members that are recall-optimal there."""
+    restrict = frozenset(candidate_states)
+    return [
+        sum(1 << k for k, m in enumerate(members) if recall_optimal(m, analyses, i, restrict))
+        for i in range(analyses.n)
+    ]
+
+
+def _recall_estimate(masks: list[int], want: int, seed: int) -> Estimate:
+    """Fraction of samples on which a member selected by `want` is recall-optimal."""
+    # unlike zeta's count, an empty canonical cause counts only if a member hits
+    hits = sum(1 for mask in masks if mask & want)
+    return Estimate(hits / len(masks), len(masks), seed)
+
+
 def estimate_cause_probability(
     pmodel: ParametricModel,
     dist: DistSpec,
@@ -60,31 +78,8 @@ def estimate_cause_probability(
     cause = frozenset(cause)
     if not cause:
         raise ValueError("empty cause")
-    batch = sample(dist, n_samples, seed)
-    hits = 0
-    for point in batch.points:
-        if is_spr_cause(instantiate(pmodel, point), cause):
-            hits += 1
-    return Estimate(hits / n_samples, n_samples, seed)
-
-
-def _recall_indicator(
-    concrete: ConcreteModel,
-    collection: list[frozenset[int]],
-    candidate_states: frozenset[int],
-) -> bool:
-    causes = singleton_cause_set(concrete, candidate_states)
-    graph = support_graph(concrete)
-    canonical = cause_front(causes, graph, concrete.initial)
-    for member in collection:
-        if (
-            member <= causes
-            and satisfies_minimality(graph, concrete.initial, member)
-            and recall_covers(graph, member, canonical, effect=concrete.effect,
-                              initial=concrete.initial)
-        ):
-            return True
-    return False
+    analyses = fresh_analyses(pmodel, dist, n_samples, seed)
+    return Estimate(cause_sample_count(cause, analyses) / n_samples, n_samples, seed)
 
 
 def estimate_recall_probability(
@@ -100,14 +95,10 @@ def estimate_recall_probability(
     A sample without any singleton cause contributes 0: with no SPR cause
     there is nothing recall-optimal to contain.
     """
-    collection = [frozenset(c) for c in collection]
-    candidate_states = frozenset(candidate_states)
-    batch = sample(dist, n_samples, seed)
-    hits = 0
-    for point in batch.points:
-        if _recall_indicator(instantiate(pmodel, point), collection, candidate_states):
-            hits += 1
-    return Estimate(hits / n_samples, n_samples, seed)
+    members = [frozenset(c) for c in collection]
+    analyses = fresh_analyses(pmodel, dist, n_samples, seed)
+    masks = _recall_masks(members, candidate_states, analyses)
+    return _recall_estimate(masks, (1 << len(members)) - 1, seed)
 
 
 @dataclass(frozen=True)
@@ -124,6 +115,26 @@ class SubsetGap:
         return self.full.value - self.max_subset_value
 
 
+def recall_gap(
+    members: list[frozenset[int]],
+    candidate_states: Iterable[int],
+    analyses: AnalysisBatch,
+    seed: int,
+) -> SubsetGap:
+    """R of the whole collection and of every proper subset, from one batch."""
+    if len(members) > SUBSET_CAP:
+        raise CapExceededError(f"{len(members)} members exceeds the subset cap {SUBSET_CAP}")
+    masks = _recall_masks(members, candidate_states, analyses)
+    k = len(members)
+    subsets = tuple(
+        (tuple(members[j] for j in combo),
+         _recall_estimate(masks, sum(1 << j for j in combo), seed))
+        for r in range(k)
+        for combo in itertools.combinations(range(k), r)
+    )
+    return SubsetGap(full=_recall_estimate(masks, (1 << k) - 1, seed), subsets=subsets)
+
+
 def subset_recall_gap(
     pmodel: ParametricModel,
     dist: DistSpec,
@@ -133,129 +144,21 @@ def subset_recall_gap(
     seed: int,
 ) -> SubsetGap:
     """Recall estimates for every proper subset of the member collection."""
-    if len(members) > SUBSET_CAP:
-        raise CapExceededError(f"{len(members)} members exceeds the subset cap {SUBSET_CAP}")
-    candidate_states = frozenset(candidate_states)
-    full = estimate_recall_probability(
-        pmodel, dist, members, candidate_states, n_samples, seed
-    )
-    subsets = []
-    for r in range(len(members)):
-        for combo in itertools.combinations(members, r):
-            est = estimate_recall_probability(
-                pmodel, dist, list(combo), candidate_states, n_samples, seed
-            )
-            subsets.append((tuple(combo), est))
-    return SubsetGap(full=full, subsets=tuple(subsets))
+    analyses = fresh_analyses(pmodel, dist, n_samples, seed)
+    return recall_gap(list(members), candidate_states, analyses, seed)
 
 
 def mean_point_baseline(pmodel: ParametricModel, dist: DistSpec) -> frozenset[int]:
     """NA1: the canonical cause at the mean parameter point."""
+    dist = align_dist(dist, pmodel.param_space.names)
     return canonical_cause(instantiate(pmodel, mean_point(dist)))
 
 
 def vertex_baseline(pmodel: ParametricModel, dist: DistSpec) -> list[frozenset[int]]:
     """NA2: canonical causes at the support-box vertices, deduplicated."""
     seen: list[frozenset[int]] = []
-    for vertex in support_vertices(dist):
+    for vertex in support_vertices(align_dist(dist, pmodel.param_space.names)):
         c = canonical_cause(instantiate(pmodel, vertex))
         if c not in seen:
             seen.append(c)
     return seen
-
-
-def _chain_model(model: ConcreteModel, policy: dict[int, int]) -> ConcreteModel:
-    """Single-action restriction of the model along a memoryless policy."""
-    n = model.n_states
-    trans = np.zeros((n, 1, n))
-    enabled = np.zeros((n, 1), dtype=bool)
-    for s, a in policy.items():
-        trans[s, 0] = model.trans[s, a]
-        enabled[s, 0] = True
-    return ConcreteModel(
-        states=model.states,
-        actions=("pi",),
-        initial=model.initial,
-        effect=model.effect,
-        point=model.point,
-        trans=trans,
-        enabled=enabled,
-    )
-
-
-def _seen_product(chain: ConcreteModel, mark: frozenset[int]) -> ConcreteModel:
-    """Product with a sticky bit recording whether `mark` was ever visited.
-
-    State (s, b) has index s + b*n; the bit flips on entering `mark`.
-    """
-    n = chain.n_states
-    trans = np.zeros((2 * n, 1, 2 * n))
-    enabled = np.zeros((2 * n, 1), dtype=bool)
-    for s in range(n):
-        if not chain.enabled[s, 0]:
-            continue
-        for b in (0, 1):
-            enabled[s + b * n, 0] = True
-            for t in np.flatnonzero(chain.trans[s, 0] > 0.0):
-                t = int(t)
-                nb = 1 if (b == 1 or t in mark) else 0
-                trans[s + b * n, 0, t + nb * n] += chain.trans[s, 0, t]
-    start_bit = 1 if chain.initial in mark else 0
-    return ConcreteModel(
-        states=tuple(f"{s}|{b}" for b in (0, 1) for s in chain.states),
-        actions=("pi",),
-        initial=chain.initial + start_bit * n,
-        effect=frozenset(e + n for e in chain.effect) | frozenset(chain.effect),
-        point=chain.point,
-        trans=trans,
-        enabled=enabled,
-    )
-
-
-def interventional_differences_by_policy(
-    model: ConcreteModel, cause: Iterable[int]
-) -> list[tuple[dict[int, int], float]]:
-    """Pr(effect | visited cause) - Pr(effect | avoided cause) per policy.
-
-    Deterministic memoryless policies only; conditionals on probability-0
-    events contribute 0.  A diagnostic, not a guarantee: history-dependent
-    policies can realize more extreme differences.
-    """
-    n = model.n_states
-    if n > INTERVENTION_STATE_CAP:
-        raise CapExceededError(f"{n} states exceeds cap {INTERVENTION_STATE_CAP}")
-    cause = frozenset(cause)
-    per_state = []
-    for s in range(n):
-        acts = [int(a) for a in np.flatnonzero(model.enabled[s])]
-        if len(acts) > INTERVENTION_ACTION_CAP:
-            raise CapExceededError("more than two enabled actions at a state")
-        per_state.append(acts if acts else [None])
-    out = []
-    for combo in itertools.product(*per_state):
-        policy = {s: a for s, a in enumerate(combo) if a is not None}
-        chain = _chain_model(model, policy)
-        product = _seen_product(chain, cause)
-        npd = product.n_states // 2
-        reach_effect = float(max_reach(chain, chain.effect).values[chain.initial])
-        vals = max_reach(product, [e for e in product.effect if e >= npd])
-        reach_effect_and_cause = float(vals.values[product.initial])
-        reach_cause = float(
-            max_reach(product, range(npd, 2 * npd)).values[product.initial]
-        )
-        p_cause = reach_cause
-        p_no_cause = 1.0 - reach_cause
-        given_cause = reach_effect_and_cause / p_cause if p_cause > 0 else 0.0
-        not_and = reach_effect - reach_effect_and_cause
-        given_no = not_and / p_no_cause if p_no_cause > 0 else 0.0
-        out.append((policy, given_cause - given_no))
-    return out
-
-
-def interventional_difference(
-    model: ConcreteModel, cause: Iterable[int]
-) -> tuple[float, float]:
-    """(max, min) over deterministic memoryless policies of the conditional
-    probability difference; heuristic diagnostic."""
-    diffs = [d for _, d in interventional_differences_by_policy(model, cause)]
-    return max(diffs), min(diffs)

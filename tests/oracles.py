@@ -2,7 +2,9 @@
 
 Each oracle deliberately avoids the code path it checks: the tail-bound
 oracle works on integers, the probability oracles integrate the density,
-and the cover oracle enumerates simple paths.
+and the cover oracle enumerates simple paths.  The restricted estimators
+re-analyse every point per quantity, with the analysis restricted to the
+states the quantity asks about, instead of querying one shared batch.
 """
 
 from __future__ import annotations
@@ -13,6 +15,15 @@ import numpy as np
 from scipy import integrate
 
 from sprcause.exact import RationalMDP
+from sprcause.model import instantiate, support_graph
+from sprcause.sampling import sample
+from sprcause.sprcheck import (
+    cause_front,
+    is_spr_cause,
+    recall_covers,
+    satisfies_minimality,
+    singleton_cause_set,
+)
 
 
 def rational_tail_root(k: int, n: int, beta: Fraction, bits: int = 60) -> Fraction:
@@ -176,3 +187,49 @@ def random_rational_mdp(
             )
         rows.append(tuple(per_action))
     return RationalMDP(n_states=n, rows=tuple(rows), initial=0), effect
+
+
+def recall_optimal_reference(analysis, initial, effect, member, canonical, restrict) -> bool:
+    """The recall-optimality test written out inline; the reference for
+    `bounds.recall_optimal`."""
+    return (
+        member <= (analysis.cause_states & restrict)
+        and satisfies_minimality(analysis.graph, initial, member)
+        and recall_covers(analysis.graph, member, canonical, effect=effect, initial=initial)
+    )
+
+
+def restricted_cause_fraction(pmodel, dist, cause, n_samples: int, seed: int) -> float:
+    """Fraction of points on which `cause` is an SPR cause, each point
+    instantiated and checked on the cause's own states."""
+    points = sample(dist, n_samples, seed).points
+    return sum(1 for p in points if is_spr_cause(instantiate(pmodel, p), cause)) / n_samples
+
+
+def _restricted_recall_indicator(concrete, collection, candidate_states) -> bool:
+    causes = singleton_cause_set(concrete, candidate_states)
+    graph = support_graph(concrete)
+    canonical = cause_front(causes, graph, concrete.initial)
+    return any(
+        member <= causes
+        and satisfies_minimality(graph, concrete.initial, member)
+        and recall_covers(graph, member, canonical, effect=concrete.effect,
+                          initial=concrete.initial)
+        for member in collection
+    )
+
+
+def restricted_recall_fraction(
+    pmodel, dist, collection, candidate_states, n_samples: int, seed: int
+) -> float:
+    """Fraction of points on which some member is recall-optimal, each point
+    re-instantiated and analysed over the candidate states only; a point
+    with no singleton cause contributes 0."""
+    collection = [frozenset(c) for c in collection]
+    candidate_states = frozenset(candidate_states)
+    points = sample(dist, n_samples, seed).points
+    hits = sum(
+        1 for p in points
+        if _restricted_recall_indicator(instantiate(pmodel, p), collection, candidate_states)
+    )
+    return hits / n_samples

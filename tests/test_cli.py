@@ -133,6 +133,29 @@ def test_validate_repeat_emits_plot_rows(runner, tmp_path):
     assert all(line.split(",")[0] == "50" for line in lines[1:])
 
 
+def test_validate_analyses_each_point_once(runner, tmp_path, monkeypatch):
+    from sprcause import solver, sprcheck
+
+    calls = []
+    original = sprcheck.singleton_causes
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sprcheck, "singleton_causes", counting)
+    monkeypatch.setattr(solver, "singleton_causes", counting)
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"members": [["s1"], ["s2"]], "S_N": ["s1", "s2"], "N": 20}))
+    result = runner.invoke(main, [
+        "validate", "--model", "appendix-e", "--dist", "appendix-e",
+        "--solution", str(sol), "-M", "20", "--seed", "4",
+    ])
+    assert result.exit_code == 0
+    # F per member, R and each proper subset all read one analysis per point
+    assert len(calls) == 20
+
+
 def test_gridworld_gen_and_baselines(runner, tmp_path):
     out = tmp_path / "grid.json"
     result = runner.invoke(main, ["gridworld", "gen", "--env", "a", "--out", str(out)])

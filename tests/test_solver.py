@@ -1,8 +1,11 @@
 import json
+import logging
 
 import pytest
 
-from oracles import path_cover_holds
+from oracles import path_cover_holds, recall_optimal_reference
+from sprcause import fixtures
+from sprcause.bounds import recall_sample_count
 from sprcause.sampling import parse_dist, sample
 from sprcause.solver import (
     SolveConfig,
@@ -98,6 +101,54 @@ def test_cover_set_matches_path_enumeration_oracle(example_model, example_dist):
                     )
                 )
             assert (j in got) == want
+
+
+@pytest.mark.parametrize("name, dist_name, n", [
+    ("example", "example", 120),
+    ("appendix-e", "appendix-e", 120),
+    ("grid-a", "grid", 12),  # singleton causes in series: sets that fail minimality
+])
+def test_recall_predicate_matches_the_inline_reference(name, dist_name, n):
+    pmodel, dist = fixtures.builtin_model(name), fixtures.builtin_dist(dist_name)
+    analyses = analyze_batch(pmodel, sample(dist, n, seed=11))
+    s_n = filter_states(analyses, 0.0, 0.99)
+    canonicals = [analyses.canonical(i, s_n) for i in range(analyses.n)]
+
+    def reference(member, j):
+        return recall_optimal_reference(
+            analyses.analyses[j], analyses.initial, analyses.effect, member, canonicals[j], s_n
+        )
+
+    # the solver builds one cover set per distinct nonempty canonical cause
+    first = {c: i for i, c in reversed(list(enumerate(canonicals))) if c}
+    members = sorted(first, key=sorted)
+    assert members
+    for member in members:
+        want = frozenset(
+            j for j in range(analyses.n) if not canonicals[j] or reference(member, j)
+        )
+        assert cover_set(first[member], analyses, s_n) == want
+    every_cause = [a.cause_states & s_n for a in analyses.analyses[:3]]
+    for collection in ([], members[:1], members, every_cause):
+        want = sum(
+            1 for j in range(analyses.n)
+            if not canonicals[j] or any(reference(m, j) for m in collection)
+        )
+        assert recall_sample_count(collection, s_n, analyses) == want
+
+
+def test_exact_over_the_state_cap_warns_once(grid_model_a, grid_dist, caplog):
+    with caplog.at_level(logging.WARNING, logger="sprcause.solver"):
+        solve(grid_model_a, grid_dist, 1, 0.0, 0.99, 0, SolveConfig(exact_corners=True))
+    warned = [r for r in caplog.records if "exact state cap" in r.getMessage()]
+    assert len(warned) == 1 and warned[0].levelno == logging.WARNING
+    assert "31 states" in warned[0].getMessage() and "cap 12" in warned[0].getMessage()
+
+
+def test_exact_within_the_state_cap_does_not_warn(example_model, example_dist, caplog):
+    with caplog.at_level(logging.WARNING, logger="sprcause.solver"):
+        solve(example_model, example_dist, 5, 0.0, 0.99, 0, SolveConfig(exact_corners=True))
+    assert not [r for r in caplog.records if "exact state cap" in r.getMessage()]
 
 
 def test_select_indices_prefers_superset():

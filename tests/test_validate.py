@@ -3,15 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from oracles import prob_first_greater
+from oracles import prob_first_greater, restricted_cause_fraction, restricted_recall_fraction
+from sprcause import fixtures
 from sprcause.model import instantiate, parse_model
 from sprcause.sampling import parse_dist
 from sprcause.validate import (
     CapExceededError,
     estimate_cause_probability,
     estimate_recall_probability,
-    interventional_difference,
-    interventional_differences_by_policy,
     mean_point_baseline,
     subset_recall_gap,
     vertex_baseline,
@@ -83,8 +82,6 @@ def test_single_sample_half_width_is_defined(appendix_model, appendix_dist):
 
 
 def test_subset_cap():
-    from sprcause import fixtures
-
     m = fixtures.builtin_model("example")
     d = fixtures.builtin_dist("example")
     members = [frozenset({i}) for i in range(13)]
@@ -109,53 +106,53 @@ def test_point_mass_baseline_matches_canonical(example_model):
     assert got == canonical_cause(instantiate(example_model, [0.5, 0.3]))
 
 
-# --- interventional diagnostics -------------------------------------------
+# --- one analysis per point, checked against per-quantity re-analysis ---
 
-def test_interventional_convention_when_avoidance_impossible():
-    doc = {
-        "states": ["s0", "mid", "e"],
-        "actions": ["a"],
-        "initial": "s0",
-        "terminal_effect": ["e"],
-        "params": ["p"],
-        "transitions": [
-            {"from": "s0", "action": "a", "to": "mid", "prob": "p"},
-            {"from": "s0", "action": "a", "to": "e", "prob": "1-p"},
-            {"from": "mid", "action": "a", "to": "e", "prob": "1"},
-        ],
-    }
-    c = instantiate(parse_model(json.dumps(doc)), [0.5])
-    # C = S \ E and the effect is reached almost surely: conditioning on
-    # avoiding C is impossible, so that conditional contributes 0
-    diffs = interventional_differences_by_policy(c, {0, 1})
-    assert len(diffs) == 1
-    assert diffs[0][1] == pytest.approx(1.0)  # Pr(E | visited) - 0
+# (model, members, candidate states); appendix-e's p < q points have no cause
+ORACLE_CASES = {
+    "example": ([["s1", "s3"], ["s2", "s3"], ["s3"]], ["s1", "s2", "s3"]),
+    "example-restricted": ([["s1", "s3"], ["s3"]], ["s1", "s3"]),
+    "appendix-e": ([["s1"], ["s2"]], ["s1", "s2"]),
+}
 
 
-def test_interventional_disconnected_cause(appendix_model):
-    c = instantiate(appendix_model, [0.5, 0.3])
-    s2 = c.state_index("s2")  # the safe sink: never on an effect path
-    max_diff, _ = interventional_difference(c, {s2})
-    assert max_diff <= 0.0
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_estimates_equal_the_restricted_reference(case, seed):
+    name = case.removesuffix("-restricted")
+    pmodel, dist = fixtures.builtin_model(name), fixtures.builtin_dist(name)
+    names, s_n_names = ORACLE_CASES[case]
+    members = [frozenset(pmodel.state_index(s) for s in m) for m in names]
+    s_n = frozenset(pmodel.state_index(s) for s in s_n_names)
+    n = 80
+    for m in members:
+        got = estimate_cause_probability(pmodel, dist, m, n, seed)
+        assert got.value == restricted_cause_fraction(pmodel, dist, m, n, seed)
+    recall = estimate_recall_probability(pmodel, dist, members, s_n, n, seed)
+    assert recall.value == restricted_recall_fraction(pmodel, dist, members, s_n, n, seed)
+    gap = subset_recall_gap(pmodel, dist, members, s_n, n, seed)
+    assert gap.full == recall
+    assert len(gap.subsets) == 2 ** len(members) - 1
+    for combo, est in gap.subsets:
+        assert est.value == restricted_recall_fraction(pmodel, dist, combo, s_n, n, seed)
 
 
-def test_interventional_appendix_policies(appendix_model):
-    p, q = 0.5, 0.3
-    c = instantiate(appendix_model, [p, q])
-    s1 = c.state_index("s1")
-    diffs = dict()
-    for policy, d in interventional_differences_by_policy(c, {s1}):
-        diffs[c.actions[policy[c.initial]]] = d
-    # action b: Pr(E | via s1) = p, avoidance never reaches E; action a
-    # never visits s1, so the visited conditional contributes 0
-    assert diffs["b"] == pytest.approx(p - 0.0)
-    assert diffs["a"] == pytest.approx(0.0 - q)
-    max_diff, min_diff = interventional_difference(c, {s1})
-    assert max_diff == pytest.approx(p)
-    assert min_diff == pytest.approx(-q)
-
-
-def test_interventional_caps(grid_model_a):
-    c = instantiate(grid_model_a, [0.875, 0.5, 0.6])
-    with pytest.raises(CapExceededError):
-        interventional_difference(c, {0})
+def test_reordered_parameters_give_the_same_answers(example_model, example_dist):
+    doc = json.loads(fixtures.builtin_model_text("example"))
+    doc["params"] = ["q", "p"]
+    reordered = parse_model(json.dumps(doc))
+    assert vertex_baseline(reordered, example_dist) == vertex_baseline(example_model, example_dist)
+    assert mean_point_baseline(reordered, example_dist) == mean_point_baseline(
+        example_model, example_dist
+    )
+    # point masses only: every draw is the same point whatever the parameter
+    # order, and p > q on a 0.3 share of them
+    dist = parse_dist(json.dumps({"mixture": [
+        {"weight": 0.3, "marginals": {"p": {"point": 0.5}, "q": {"point": 0.3}}},
+        {"weight": 0.7, "marginals": {"p": {"point": 0.3}, "q": {"point": 0.6}}},
+    ]}))
+    s1, s3 = example_model.state_index("s1"), example_model.state_index("s3")
+    got = estimate_cause_probability(reordered, dist, {s1, s3}, 60, seed=9)
+    want = estimate_cause_probability(example_model, dist, {s1, s3}, 60, seed=9)
+    assert got == want
+    assert 0.0 < want.value < 0.5
