@@ -19,7 +19,6 @@ from .sprcheck import (
     CauseVerdict,
     build_modified,
     canonical_cause,
-    check_m,
     is_spr_cause,
     recall_covers,
     single_state_verdict,

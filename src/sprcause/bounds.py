@@ -26,21 +26,6 @@ from .sprcheck import cause_front, recall_covers, satisfies_minimality
 BISECT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class BoundQuery:
-    discarded: int
-    total: int
-    confidence: float
-
-    def __post_init__(self):
-        if not 0 <= self.discarded <= self.total:
-            raise ValueError(f"discard count {self.discarded} outside 0..{self.total}")
-        if self.total < 1:
-            raise ValueError("need at least one sample")
-        if not 0.0 < self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside (0, 1]")
-
-
 def binomial_cdf(k: int, n: int, success: float) -> float:
     """P[Bin(n, success) <= k] via the regularized incomplete beta identity."""
     if k >= n:
@@ -50,8 +35,13 @@ def binomial_cdf(k: int, n: int, success: float) -> float:
 
 def tail_root(discarded: int, total: int, confidence: float) -> float:
     """The PAC lower-bound value t*(k, beta) for k discarded of N samples."""
-    q = BoundQuery(discarded, total, confidence)
-    k, n, beta = q.discarded, q.total, q.confidence
+    k, n, beta = discarded, total, confidence
+    if not 0 <= k <= n:
+        raise ValueError(f"discard count {k} outside 0..{n}")
+    if n < 1:
+        raise ValueError("need at least one sample")
+    if not 0.0 < beta <= 1.0:
+        raise ValueError(f"confidence {beta} outside (0, 1]")
     if k == 0:
         return (1.0 - beta) ** (1.0 / n)
     if k == n:
@@ -137,8 +127,7 @@ def recall_optimal(
         member <= (a.cause_states & restrict)
         and satisfies_minimality(a.graph, batch.initial, member)
         and recall_covers(
-            a.graph, member, batch.canonical(index, restrict),
-            effect=batch.effect, initial=batch.initial,
+            a.graph, member, batch.canonical(index, restrict), batch.effect, batch.initial
         )
     )
 

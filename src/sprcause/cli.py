@@ -19,13 +19,13 @@ import numpy as np
 
 from . import fixtures
 from .bounds import cause_sample_count, tail_root
-from .exact import DEFAULT_STATE_CAP
+from .exact import DEFAULT_STATE_CAP, from_concrete
 from .gridworld import builtin_dist_json, builtin_env, generate, spec_from_json
-from .model import ModelError, instantiate, load_model, model_to_json
+from .model import ModelError, instantiate, load_model, model_to_json, support_graph
 from .sampling import DistError, load_dist
 from .solver import SolveConfig, solve
-from .sprcheck import is_spr_cause, singleton_causes
-from .validate import CapExceededError, fresh_analyses, recall_gap
+from .sprcheck import satisfies_minimality, single_state_verdict_exact, singleton_causes
+from .validate import fresh_analyses, mean_point_baseline, recall_gap, vertex_baseline
 
 click.UsageError.exit_code = 1
 
@@ -126,20 +126,21 @@ def check(model_ref, point_str, exact, cause_states):
         cause = [concrete.state_index(s) for s in cause_states]
         if set(cause) & concrete.effect:
             raise click.UsageError("cause states must avoid the effect set")
-        verdicts = singleton_causes(concrete, cause)
         if exact:
-            from .exact import from_concrete
-            from .sprcheck import single_state_verdict_exact
-
             rational = from_concrete(concrete)
             verdicts = {
                 c: single_state_verdict_exact(rational, c, set(concrete.effect),
                                               concrete.n_states + 1)
                 for c in cause
             }
-        result = is_spr_cause(concrete, cause)
+        else:
+            verdicts = singleton_causes(concrete, cause)
     except (ModelError, ValueError) as e:
         raise click.UsageError(str(e))
+    # the printed verdicts decide the members; (M) decides the set
+    result = all(verdicts[c].sign == 1 for c in cause) and satisfies_minimality(
+        support_graph(concrete), concrete.initial, cause
+    )
     for c in cause:
         v = verdicts[c]
         click.echo(
@@ -185,7 +186,7 @@ def validate(model_ref, dist_ref, solution_path, n_samples, seed, out, repeat):
     writer = csv.writer(buf)
     try:
         _emit_validation(writer, quantities, doc, n_samples, seed, repeat)
-    except CapExceededError as e:
+    except ValueError as e:  # a distribution that does not fit the model, or too many members
         raise click.UsageError(str(e))
     _write(out, buf.getvalue())
 
@@ -264,11 +265,13 @@ def _print_baseline(sets, pmodel, out):
 @click.option("--out", default=None)
 def na1(model_ref, dist_ref, out):
     """Canonical cause at the mean parameter point."""
-    from .validate import mean_point_baseline
-
     pmodel = _load_model(model_ref)
     dist = _load_dist(dist_ref)
-    _print_baseline([mean_point_baseline(pmodel, dist)], pmodel, out)
+    try:
+        sets = [mean_point_baseline(pmodel, dist)]
+    except ValueError as e:
+        raise click.UsageError(str(e))
+    _print_baseline(sets, pmodel, out)
 
 
 @baseline.command()
@@ -277,11 +280,13 @@ def na1(model_ref, dist_ref, out):
 @click.option("--out", default=None)
 def na2(model_ref, dist_ref, out):
     """Canonical causes at the support-box vertices, deduplicated."""
-    from .validate import vertex_baseline
-
     pmodel = _load_model(model_ref)
     dist = _load_dist(dist_ref)
-    _print_baseline(vertex_baseline(pmodel, dist), pmodel, out)
+    try:
+        sets = vertex_baseline(pmodel, dist)
+    except ValueError as e:
+        raise click.UsageError(str(e))
+    _print_baseline(sets, pmodel, out)
 
 
 if __name__ == "__main__":

@@ -94,7 +94,6 @@ class Graph:
 
     n: int
     succ: tuple[frozenset[int], ...]
-    edges: tuple[tuple[int, int, int], ...]  # (state, action, successor)
 
 
 def parse_model(document: str) -> ParametricModel:
@@ -283,12 +282,9 @@ def support_graph(model: ConcreteModel) -> Graph:
     """Edges with positive probability under some action."""
     pos = model.trans > 0.0
     succ = []
-    edges = []
     for s in range(model.n_states):
         targets: set[int] = set()
         for a in np.flatnonzero(model.enabled[s]):
-            for t in np.flatnonzero(pos[s, a]):
-                targets.add(int(t))
-                edges.append((s, int(a), int(t)))
+            targets.update(int(t) for t in np.flatnonzero(pos[s, a]))
         succ.append(frozenset(targets))
-    return Graph(n=model.n_states, succ=tuple(succ), edges=tuple(edges))
+    return Graph(n=model.n_states, succ=tuple(succ))

@@ -24,6 +24,7 @@ import numpy as np
 
 from .model import ConcreteModel, Graph
 
+# fixed, not options: stopping residual, optimal-action slack, sweep cap
 VI_TOL = 1e-10
 KAPPA_ACT = 1e-7
 MAX_SWEEPS = 10**6
@@ -34,21 +35,13 @@ class IterationLimitError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class QualitativeSets:
-    prob0: frozenset[int]
-    prob1: frozenset[int]  # empty for the min objective (not precomputed)
-
-
-@dataclass(frozen=True)
 class ReachValues:
     objective: str  # "min" | "max"
     target: frozenset[int]
     values: np.ndarray
     residual: float
     sweeps: int
-    qualitative: QualitativeSets
     _model: "ConcreteModel"
-    _kappa_act: float
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -56,10 +49,10 @@ class ReachValues:
     @property
     def optimal_actions(self) -> tuple[tuple[int, ...], ...]:
         """Per state, the enabled actions whose backup matches the value
-        within the action tolerance (computed on demand)."""
+        within KAPPA_ACT (computed on demand)."""
         n, m = self._model.n_states, len(self._model.actions)
         q = (self._model.trans.reshape(n * m, n) @ self.values).reshape(n, m)
-        mask = self._model.enabled & (np.abs(self.values[:, None] - q) <= self._kappa_act)
+        mask = self._model.enabled & (np.abs(self.values[:, None] - q) <= KAPPA_ACT)
         return tuple(tuple(int(a) for a in np.flatnonzero(mask[s])) for s in range(n))
 
 
@@ -111,34 +104,10 @@ def _prob0_min_mask(pos: np.ndarray, enabled: np.ndarray, tgt: np.ndarray) -> np
         u = grown
 
 
-def prob0_max(model: ConcreteModel, target: set[int]) -> set[int]:
-    """States where even the best policy never reaches the target."""
-    pos = (model.trans > 0.0) & model.enabled[:, :, None]
-    mask = _prob0_max_mask(pos, _target_mask(model.n_states, target))
-    return {int(s) for s in np.flatnonzero(mask)}
-
-
-def prob1_max(model: ConcreteModel, target: set[int]) -> set[int]:
-    """States with a policy reaching the target almost surely."""
-    pos = (model.trans > 0.0) & model.enabled[:, :, None]
-    mask = _prob1_max_mask(pos, model.enabled, _target_mask(model.n_states, target))
-    return {int(s) for s in np.flatnonzero(mask)}
-
-
-def prob0_min(model: ConcreteModel, target: set[int]) -> set[int]:
-    """States where some policy avoids the target forever."""
-    pos = (model.trans > 0.0) & model.enabled[:, :, None]
-    mask = _prob0_min_mask(pos, model.enabled, _target_mask(model.n_states, target))
-    return {int(s) for s in np.flatnonzero(mask)}
-
-
 def _value_iteration(
     model: ConcreteModel,
     target: set[int],
     objective: str,
-    tol: float,
-    kappa_act: float,
-    max_sweeps: int,
     trace: list[np.ndarray] | None = None,
 ) -> ReachValues:
     n, m = model.n_states, len(model.actions)
@@ -148,14 +117,9 @@ def _value_iteration(
     if objective == "max":
         p0 = _prob0_max_mask(pos, tgt)
         p1 = _prob1_max_mask(pos, model.enabled, tgt)
-        quali = QualitativeSets(
-            frozenset(int(s) for s in np.flatnonzero(p0)),
-            frozenset(int(s) for s in np.flatnonzero(p1)),
-        )
     else:
         p0 = _prob0_min_mask(pos, model.enabled, tgt)
         p1 = np.zeros(n, dtype=bool)
-        quali = QualitativeSets(frozenset(int(s) for s in np.flatnonzero(p0)), frozenset())
 
     pinned = p0 | p1 | tgt
     v = np.zeros(n)
@@ -171,9 +135,9 @@ def _value_iteration(
 
     residual = np.inf
     sweeps = 0
-    while residual > tol:
-        if sweeps >= max_sweeps:
-            raise IterationLimitError(f"no convergence after {max_sweeps} sweeps")
+    while residual > VI_TOL:
+        if sweeps >= MAX_SWEEPS:
+            raise IterationLimitError(f"no convergence after {MAX_SWEEPS} sweeps")
         np.matmul(flat, v, out=qbuf)
         q = qbuf.reshape(n, m)
         q[disabled] = fill
@@ -193,34 +157,26 @@ def _value_iteration(
         values=v,
         residual=residual,
         sweeps=sweeps,
-        qualitative=quali,
         _model=model,
-        _kappa_act=kappa_act,
     )
 
 
 def max_reach(
     model: ConcreteModel,
     target: Iterable[int],
-    tol: float = VI_TOL,
-    kappa_act: float = KAPPA_ACT,
-    max_sweeps: int = MAX_SWEEPS,
     trace: list[np.ndarray] | None = None,
 ) -> ReachValues:
     """Best-case (policy-maximal) probability of eventually reaching target."""
-    return _value_iteration(model, set(target), "max", tol, kappa_act, max_sweeps, trace)
+    return _value_iteration(model, set(target), "max", trace)
 
 
 def min_reach(
     model: ConcreteModel,
     target: Iterable[int],
-    tol: float = VI_TOL,
-    kappa_act: float = KAPPA_ACT,
-    max_sweeps: int = MAX_SWEEPS,
     trace: list[np.ndarray] | None = None,
 ) -> ReachValues:
     """Worst-case-for-the-adversary (policy-minimal) reachability probability."""
-    return _value_iteration(model, set(target), "min", tol, kappa_act, max_sweeps, trace)
+    return _value_iteration(model, set(target), "min", trace)
 
 
 def reachable_avoiding(graph: Graph, start: int, avoid: Iterable[int]) -> frozenset[int]:

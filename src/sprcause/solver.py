@@ -29,9 +29,9 @@ from .bounds import (
     tail_root,
 )
 from .model import ParametricModel, instantiate, support_graph
-from .reach import KAPPA_ACT
-from .sprcheck import KAPPA, single_state_verdict_exact, singleton_causes
+from .sprcheck import single_state_verdict_exact, singleton_causes
 from . import exact as exact_mod
+from .exact import DEFAULT_STATE_CAP
 from .sampling import DistSpec, SampleBatch, align_dist, sample
 
 log = logging.getLogger(__name__)
@@ -39,12 +39,8 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SolveConfig:
-    kappa: float = KAPPA
-    kappa_act: float = KAPPA_ACT
-    vi_tol: float = 1e-10
     geq_filter: bool = False  # delta filter with >= instead of the default >
     exact_corners: bool = False  # re-decide corner verdicts with exact arithmetic
-    exact_state_cap: int = exact_mod.DEFAULT_STATE_CAP
     workers: int = 1
 
 
@@ -97,17 +93,15 @@ def _analyze_point(
     pmodel: ParametricModel, point: tuple[float, ...], config: SolveConfig
 ) -> SampleAnalysis:
     concrete = instantiate(pmodel, point)
-    verdicts = singleton_causes(
-        concrete, kappa=config.kappa, kappa_act=config.kappa_act, tol=config.vi_tol
-    )
-    if config.exact_corners and concrete.n_states <= config.exact_state_cap:
+    verdicts = singleton_causes(concrete)
+    if config.exact_corners and concrete.n_states <= DEFAULT_STATE_CAP:
         rational = None
         for c, v in verdicts.items():
             if v.branch.startswith("corner"):
                 if rational is None:
                     rational = exact_mod.from_concrete(concrete)
                 verdicts[c] = single_state_verdict_exact(
-                    rational, c, set(concrete.effect), config.exact_state_cap + 1
+                    rational, c, set(concrete.effect), DEFAULT_STATE_CAP + 1
                 )
     causes = frozenset(c for c, v in verdicts.items() if v.sign == 1)
     return SampleAnalysis(cause_states=causes, graph=support_graph(concrete))
@@ -122,10 +116,10 @@ def analyze_batch(
     pmodel: ParametricModel, batch: SampleBatch, config: SolveConfig = SolveConfig()
 ) -> AnalysisBatch:
     """Singleton-cause analysis for every sampled point (duplicates shared)."""
-    if config.exact_corners and pmodel.n_states > config.exact_state_cap:
+    if config.exact_corners and pmodel.n_states > DEFAULT_STATE_CAP:
         log.warning(
             "exact corners (--exact) skipped: %d states exceed the exact state cap %d",
-            pmodel.n_states, config.exact_state_cap,
+            pmodel.n_states, DEFAULT_STATE_CAP,
         )
     points = [tuple(float(x) for x in p) for p in batch.points]
     distinct = sorted(set(points))
@@ -164,24 +158,15 @@ def filter_states(
     return frozenset(keep)
 
 
-def cover_set(
-    index: int, batch: AnalysisBatch, candidate_states: frozenset[int]
-) -> frozenset[int]:
-    """Samples on which sample `index`'s canonical cause stays recall-optimal.
-
-    Samples with an empty canonical cause have nothing to cover and are
-    always included, as is `index` itself (self-coverage).
-    """
-    member = batch.canonical(index, candidate_states)
-    if not member:
-        raise ValueError(f"sample {index} has an empty canonical cause")
-    return _cover_of(member, batch, candidate_states)
-
-
-def _cover_of(
+def cover_of(
     member: frozenset[int], batch: AnalysisBatch, candidate_states: frozenset[int]
 ) -> frozenset[int]:
-    # a sample with an empty canonical cause has nothing to cover
+    """Samples on which `member` is recall-optimal (`bounds.recall_optimal`).
+
+    Samples with an empty canonical cause have nothing to cover and are
+    always included; a sample's own canonical cause covers that sample
+    (self-coverage).
+    """
     return frozenset(
         j for j in range(batch.n)
         if not batch.canonical(j, candidate_states)
@@ -265,7 +250,7 @@ def solve_from_analyses(
     for i, c in enumerate(canonicals):
         if c and c not in rep_index:
             rep_index[c] = i
-    covers = {i: _cover_of(c, analyses, s_n) for c, i in rep_index.items()}
+    covers = {i: cover_of(c, analyses, s_n) for c, i in rep_index.items()}
 
     if covers:
         chosen = select_indices(covers, universe)

@@ -6,12 +6,17 @@ a fixed effect state with probability w_c (the worst-case probability of
 reaching the effect from c) and to a fresh terminal non-effect state
 otherwise.  c raises the probability strictly iff w_c exceeds the
 best-case reachability q of the effect from the initial state in that
-modified model; ties fall back to a reachability check inside the
-sub-model of value-optimal actions.
+modified model by more than the fixed KAPPA; ties fall back to a
+reachability check inside the sub-model of value-optimal actions
+(`_corner`, shared with the exact-rational twin).
 
 Set-level cause-hood reduces to the singleton verdicts plus the
 minimality condition (M): every member must be reachable without first
 crossing the other members.
+
+`singleton_cause_set`, `canonical_cause` and `is_spr_cause` analyse one
+concrete model outside `solver.analyze_batch`; they stay because the
+NA1/NA2 baselines and the reference oracles in tests/oracles.py use them.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from . import exact as exact_mod
 from .model import ConcreteModel, Graph, support_graph
-from .reach import KAPPA_ACT, VI_TOL, max_reach, min_reach, reachable_avoiding, exists_path_via
+from .reach import max_reach, min_reach, reachable_avoiding, exists_path_via
 
 KAPPA = 1e-7
 
@@ -36,8 +41,6 @@ BRANCH_CORNER_UNREACHABLE = "corner-unreachable"
 
 @dataclass(frozen=True)
 class ModifiedModel:
-    base: ConcreteModel
-    pivot: int
     eff: int  # fixed member of the effect set
     noeff: int  # fresh terminal state outside the effect set
     commit_prob: float  # worst-case reach probability from the pivot
@@ -47,25 +50,24 @@ class ModifiedModel:
 @dataclass(frozen=True)
 class CauseVerdict:
     state: int
-    sign: int  # +1: singleton SPR cause, -1: not
     branch: str
     commit_prob: float  # w_c
     bypass_prob: float  # q at the initial state of the modified model
 
-    def __post_init__(self):
-        expected = 1 if self.branch in (BRANCH_GREATER, BRANCH_CORNER_UNREACHABLE) else -1
-        if self.sign != expected:
-            raise ValueError(f"sign {self.sign} inconsistent with branch {self.branch}")
+    @property
+    def sign(self) -> int:
+        """+1: singleton SPR cause, -1: not."""
+        return 1 if self.branch in (BRANCH_GREATER, BRANCH_CORNER_UNREACHABLE) else -1
 
 
 def build_modified(
-    model: ConcreteModel, pivot: int, commit_prob: float | None = None, tol: float = VI_TOL
+    model: ConcreteModel, pivot: int, commit_prob: float | None = None
 ) -> ModifiedModel:
     """Replace the pivot's actions by a single effect/no-effect coin flip."""
     if pivot in model.effect:
         raise ValueError(f"pivot {model.states[pivot]!r} is an effect state")
     if commit_prob is None:
-        commit_prob = float(min_reach(model, model.effect, tol=tol).values[pivot])
+        commit_prob = float(min_reach(model, model.effect).values[pivot])
     n, m = model.n_states, len(model.actions)
     eff = min(model.effect)
     noeff = n
@@ -87,19 +89,22 @@ def build_modified(
         trans=trans,
         enabled=enabled,
     )
-    return ModifiedModel(
-        base=model, pivot=pivot, eff=eff, noeff=noeff,
-        commit_prob=float(commit_prob), model=modified,
-    )
+    return ModifiedModel(eff=eff, noeff=noeff, commit_prob=float(commit_prob), model=modified)
+
+
+def _corner(
+    state: int, initial: int, optimal_succ: list[frozenset[int]], w, q0
+) -> CauseVerdict:
+    """Tie verdict: is the pivot reachable from the initial state when only
+    value-optimal actions remain (`optimal_succ`, the successors per state)?"""
+    sub = Graph(n=len(optimal_succ), succ=tuple(optimal_succ))
+    if state in reachable_avoiding(sub, initial, ()):
+        return CauseVerdict(state, BRANCH_CORNER_REACHABLE, float(w), float(q0))
+    return CauseVerdict(state, BRANCH_CORNER_UNREACHABLE, float(w), float(q0))
 
 
 def single_state_verdict(
-    model: ConcreteModel,
-    state: int,
-    kappa: float = KAPPA,
-    kappa_act: float = KAPPA_ACT,
-    commit_prob: float | None = None,
-    tol: float = VI_TOL,
+    model: ConcreteModel, state: int, commit_prob: float | None = None
 ) -> CauseVerdict:
     """Decide whether {state} is an SPR cause for the model's effect set."""
     if state == model.initial:
@@ -107,61 +112,47 @@ def single_state_verdict(
         # best-case value equals the commit probability and the corner
         # reachability check is reflexively true
         if commit_prob is None:
-            commit_prob = float(min_reach(model, model.effect, tol=tol).values[state])
-        return CauseVerdict(state, -1, BRANCH_CORNER_REACHABLE, commit_prob, commit_prob)
-    modified = build_modified(model, state, commit_prob, tol)
+            commit_prob = float(min_reach(model, model.effect).values[state])
+        return CauseVerdict(state, BRANCH_CORNER_REACHABLE, commit_prob, commit_prob)
+    modified = build_modified(model, state, commit_prob)
     mod = modified.model
-    mx = max_reach(mod, mod.effect, tol=tol, kappa_act=kappa_act)
+    mx = max_reach(mod, mod.effect)
     w, q0 = modified.commit_prob, float(mx.values[model.initial])
-    if w - q0 > kappa:
-        return CauseVerdict(state, 1, BRANCH_GREATER, w, q0)
-    if w - q0 < -kappa:
-        return CauseVerdict(state, -1, BRANCH_LESS, w, q0)
-    # corner: is the pivot reachable from the initial state when only
-    # value-optimal actions remain?
+    if w - q0 > KAPPA:
+        return CauseVerdict(state, BRANCH_GREATER, w, q0)
+    if w - q0 < -KAPPA:
+        return CauseVerdict(state, BRANCH_LESS, w, q0)
     succ = []
     for s in range(mod.n_states):
         targets: set[int] = set()
         for a in mx.optimal_actions[s]:
             targets |= {int(t) for t in np.flatnonzero(mod.trans[s, a] > 0.0)}
         succ.append(frozenset(targets))
-    sub = Graph(n=mod.n_states, succ=tuple(succ), edges=())
-    if state in reachable_avoiding(sub, mod.initial, ()):
-        return CauseVerdict(state, -1, BRANCH_CORNER_REACHABLE, w, q0)
-    return CauseVerdict(state, 1, BRANCH_CORNER_UNREACHABLE, w, q0)
+    return _corner(state, mod.initial, succ, w, q0)
 
 
 def singleton_causes(
-    model: ConcreteModel,
-    restrict: Iterable[int] | None = None,
-    kappa: float = KAPPA,
-    kappa_act: float = KAPPA_ACT,
-    tol: float = VI_TOL,
+    model: ConcreteModel, restrict: Iterable[int] | None = None
 ) -> dict[int, CauseVerdict]:
     """Verdicts for every candidate state (or a restriction of them).
 
     Shares one worst-case reachability pass across all pivots.
     """
-    base_min = min_reach(model, model.effect, tol=tol)
+    base_min = min_reach(model, model.effect)
     candidates = sorted(set(restrict) if restrict is not None else range(model.n_states))
     out: dict[int, CauseVerdict] = {}
     for c in candidates:
         if c in model.effect:
             continue
-        out[c] = single_state_verdict(
-            model, c, kappa, kappa_act, commit_prob=float(base_min.values[c]), tol=tol
-        )
+        out[c] = single_state_verdict(model, c, commit_prob=float(base_min.values[c]))
     return out
 
 
 def singleton_cause_set(
-    model: ConcreteModel,
-    restrict: Iterable[int] | None = None,
-    kappa: float = KAPPA,
-    kappa_act: float = KAPPA_ACT,
+    model: ConcreteModel, restrict: Iterable[int] | None = None
 ) -> frozenset[int]:
     """States whose singletons are SPR causes, intersected with `restrict`."""
-    verdicts = singleton_causes(model, restrict, kappa, kappa_act)
+    verdicts = singleton_causes(model, restrict)
     return frozenset(c for c, v in verdicts.items() if v.sign == 1)
 
 
@@ -171,26 +162,17 @@ def satisfies_minimality(graph: Graph, initial: int, cause: Iterable[int]) -> bo
     return all(c in reachable_avoiding(graph, initial, cause - {c}) for c in cause)
 
 
-def check_m(model: ConcreteModel, cause: Iterable[int]) -> bool:
-    return satisfies_minimality(support_graph(model), model.initial, cause)
-
-
-def is_spr_cause(
-    model: ConcreteModel,
-    cause: Iterable[int],
-    kappa: float = KAPPA,
-    kappa_act: float = KAPPA_ACT,
-) -> bool:
+def is_spr_cause(model: ConcreteModel, cause: Iterable[int]) -> bool:
     """Set-level check: every member a singleton cause, plus condition (M)."""
     cause = set(cause)
     if not cause:
         raise ValueError("the empty set is not a cause candidate")
     if cause & model.effect:
         raise ValueError("cause states must avoid the effect set")
-    members = singleton_cause_set(model, cause, kappa, kappa_act)
+    members = singleton_cause_set(model, cause)
     if members != frozenset(cause):
         return False
-    return check_m(model, cause)
+    return satisfies_minimality(support_graph(model), model.initial, cause)
 
 
 def cause_front(causes: Iterable[int], graph: Graph, initial: int) -> frozenset[int]:
@@ -202,30 +184,20 @@ def cause_front(causes: Iterable[int], graph: Graph, initial: int) -> frozenset[
 
 
 def canonical_cause(
-    model: ConcreteModel,
-    restrict: Iterable[int] | None = None,
-    kappa: float = KAPPA,
-    kappa_act: float = KAPPA_ACT,
+    model: ConcreteModel, restrict: Iterable[int] | None = None
 ) -> frozenset[int]:
     """The front of all singleton causes within the given state restriction."""
-    causes = singleton_cause_set(model, restrict, kappa, kappa_act)
+    causes = singleton_cause_set(model, restrict)
     return cause_front(causes, support_graph(model), model.initial)
 
 
 def recall_covers(
-    model_or_graph, cause: Iterable[int], reference: Iterable[int],
-    effect: Iterable[int] | None = None, initial: int | None = None,
+    graph: Graph, cause: Iterable[int], reference: Iterable[int],
+    effect: Iterable[int], initial: int,
 ) -> bool:
-    """Does every finite path that hits `reference` and reaches the effect
-    also hit `cause`?  Vacuously true when `reference` is unreachable."""
-    if isinstance(model_or_graph, ConcreteModel):
-        graph = support_graph(model_or_graph)
-        effect = model_or_graph.effect
-        initial = model_or_graph.initial
-    else:
-        graph = model_or_graph
-        if effect is None or initial is None:
-            raise ValueError("effect and initial are required with a raw graph")
+    """Does every finite path from `initial` that hits `reference` and
+    reaches `effect` also hit `cause`?  Vacuously true when `reference` is
+    unreachable."""
     return not exists_path_via(graph, initial, via=reference, target=effect, avoid=cause)
 
 
@@ -257,9 +229,9 @@ def single_state_verdict_exact(
     values = exact_mod.exact_reach(modified, effect, "max", state_cap + 1)
     q0 = values[modified.initial]
     if w > q0:
-        return CauseVerdict(state, 1, BRANCH_GREATER, float(w), float(q0))
+        return CauseVerdict(state, BRANCH_GREATER, float(w), float(q0))
     if w < q0:
-        return CauseVerdict(state, -1, BRANCH_LESS, float(w), float(q0))
+        return CauseVerdict(state, BRANCH_LESS, float(w), float(q0))
     succ = []
     for s in range(modified.n_states):
         targets: set[int] = set()
@@ -269,7 +241,4 @@ def single_state_verdict_exact(
             if q == values[s]:
                 targets |= set(row)
         succ.append(frozenset(targets))
-    sub = Graph(n=modified.n_states, succ=tuple(succ), edges=())
-    if state in reachable_avoiding(sub, modified.initial, ()):
-        return CauseVerdict(state, -1, BRANCH_CORNER_REACHABLE, float(w), float(q0))
-    return CauseVerdict(state, 1, BRANCH_CORNER_UNREACHABLE, float(w), float(q0))
+    return _corner(state, modified.initial, succ, w, q0)

@@ -92,6 +92,35 @@ def test_check_exact_mode(runner):
     assert "corner" in result.output
 
 
+def test_check_exact_result_follows_the_printed_verdicts(runner):
+    # w_c and q differ by 5e-8: within KAPPA for the float check, strictly
+    # less in exact arithmetic
+    args = ["check", "--model", "appendix-e", "--point", "0.5,0.50000005", "s1"]
+    plain = runner.invoke(main, args)
+    assert plain.exit_code == 0
+    assert "branch=corner-unreachable" in plain.output
+    assert "is_spr_cause: True" in plain.output
+    exact = runner.invoke(main, args + ["--exact"])
+    assert exact.exit_code == 0
+    assert "sign=-1 branch=strict-less" in exact.output
+    assert "is_spr_cause: False" in exact.output
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--model", "example", "--dist", "grid", "--solution", "SOLUTION", "-M", "5"],
+    ["baseline", "na1", "--model", "example", "--dist", "grid"],
+    ["baseline", "na2", "--model", "example", "--dist", "grid"],
+])
+def test_distribution_model_mismatch_is_a_usage_error(runner, tmp_path, argv):
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"members": [["s3"]], "S_N": ["s3"], "N": 5}))
+    result = runner.invoke(main, [str(sol) if a == "SOLUTION" else a for a in argv])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "distribution covers ['p0', 'p1', 'p2'], model needs ['p', 'q']" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_validate_csv_deterministic(runner, tmp_path):
     sol = tmp_path / "sol.json"
     runner.invoke(main, [

@@ -10,7 +10,7 @@ from sprcause.sampling import parse_dist, sample
 from sprcause.solver import (
     SolveConfig,
     analyze_batch,
-    cover_set,
+    cover_of,
     filter_states,
     select_indices,
     solve,
@@ -56,7 +56,7 @@ def test_cover_set_single_sample(example_model, example_dist):
     batch = sample(example_dist, 1, seed=5)
     analyses = analyze_batch(example_model, batch)
     s_n = filter_states(analyses, 0.0, 0.99)
-    assert cover_set(0, analyses, s_n) == frozenset({0})
+    assert cover_of(analyses.canonical(0, s_n), analyses, s_n) == frozenset({0})
 
 
 def test_cover_set_point_mass_sample_covers_all(example_model, example_dist):
@@ -66,7 +66,7 @@ def test_cover_set_point_mass_sample_covers_all(example_model, example_dist):
     tie = next(
         i for i, p in enumerate(batch.points) if p[0] == 0.5 and p[1] == 0.5
     )
-    assert cover_set(tie, analyses, s_n) == frozenset(range(300))
+    assert cover_of(analyses.canonical(tie, s_n), analyses, s_n) == frozenset(range(300))
 
 
 def _oracle_minimality(succ, start, member) -> bool:
@@ -86,7 +86,7 @@ def test_cover_set_matches_path_enumeration_oracle(example_model, example_dist):
     s_n = filter_states(analyses, 0.0, 0.99)
     for i in (0, 1, 2):
         member = analyses.canonical(i, s_n)
-        got = cover_set(i, analyses, s_n)
+        got = cover_of(member, analyses, s_n)
         for j, a in enumerate(analyses.analyses):
             canonical_j = analyses.canonical(j, s_n)
             if not canonical_j:
@@ -127,7 +127,7 @@ def test_recall_predicate_matches_the_inline_reference(name, dist_name, n):
         want = frozenset(
             j for j in range(analyses.n) if not canonicals[j] or reference(member, j)
         )
-        assert cover_set(first[member], analyses, s_n) == want
+        assert cover_of(analyses.canonical(first[member], s_n), analyses, s_n) == want
     every_cause = [a.cause_states & s_n for a in analyses.analyses[:3]]
     for collection in ([], members[:1], members, every_cause):
         want = sum(

@@ -11,9 +11,9 @@ from sprcause.sprcheck import (
     build_modified,
     canonical_cause,
     cause_front,
-    check_m,
     is_spr_cause,
     recall_covers,
+    satisfies_minimality,
     single_state_verdict,
     single_state_verdict_exact,
     singleton_cause_set,
@@ -136,12 +136,12 @@ def test_random_models_match_exact_oracle():
 
 def test_minimality_initial_state(example_model):
     c = instantiate(example_model, [0.3, 0.6])
-    assert check_m(c, [c.initial])  # empty prefix
+    assert satisfies_minimality(support_graph(c), c.initial, [c.initial])  # empty prefix
 
 
 def test_minimality_example_pair(example_model):
     c = instantiate(example_model, [0.3, 0.6])
-    assert check_m(c, [c.state_index("s2"), c.state_index("s3")])
+    assert satisfies_minimality(support_graph(c), c.initial, [c.state_index("s2"), c.state_index("s3")])
 
 
 def test_minimality_fails_on_chained_states():
@@ -161,7 +161,7 @@ def test_minimality_fails_on_chained_states():
     }
     c = instantiate(parse_model(json.dumps(doc)), [0.5])
     # every path to y passes x
-    assert not check_m(c, [c.state_index("x"), c.state_index("y")])
+    assert not satisfies_minimality(support_graph(c), c.initial, [c.state_index("x"), c.state_index("y")])
 
 
 def test_is_spr_cause_examples(example_model, appendix_model):
@@ -199,11 +199,11 @@ def test_canonical_appendix_up(appendix_model):
 
 def test_recall_covers_examples(example_model):
     c = instantiate(example_model, [0.3, 0.6])
-    s2, s3 = c.state_index("s2"), c.state_index("s3")
-    assert recall_covers(c, [s2, s3], [s2, s3])  # reflexive
-    assert recall_covers(c, [s3], [s2, s3])
-    assert not recall_covers(c, [s2], [s2, s3])
-    assert recall_covers(c, [s2], [])  # unreachable/empty reference: vacuous
+    g, s2, s3 = support_graph(c), c.state_index("s2"), c.state_index("s3")
+    assert recall_covers(g, [s2, s3], [s2, s3], c.effect, c.initial)  # reflexive
+    assert recall_covers(g, [s3], [s2, s3], c.effect, c.initial)
+    assert not recall_covers(g, [s2], [s2, s3], c.effect, c.initial)
+    assert recall_covers(g, [s2], [], c.effect, c.initial)  # unreachable/empty reference: vacuous
 
 
 def test_set_check_agrees_with_member_verdicts(example_model, appendix_model):
@@ -217,7 +217,7 @@ def test_set_check_agrees_with_member_verdicts(example_model, appendix_model):
         idx = [c.state_index(s) for s in cause]
         assert is_spr_cause(c, idx)
         assert all(single_state_verdict(c, s).sign == 1 for s in idx)
-        assert check_m(c, idx)
+        assert satisfies_minimality(support_graph(c), c.initial, idx)
 
 
 def test_canonical_recall_dominance_exhaustive():
@@ -239,5 +239,5 @@ def test_canonical_recall_dominance_exhaustive():
             for combo in itertools.combinations(candidates, r):
                 if is_spr_cause(c, combo):
                     checked += 1
-                    assert recall_covers(c, canonical, combo)
+                    assert recall_covers(graph, canonical, combo, c.effect, c.initial)
     assert checked >= 25
