@@ -98,9 +98,9 @@ def _corner(
     """Tie verdict: is the pivot reachable from the initial state when only
     value-optimal actions remain (`optimal_succ`, the successors per state)?"""
     sub = Graph(n=len(optimal_succ), succ=tuple(optimal_succ))
-    if state in reachable_avoiding(sub, initial, ()):
-        return CauseVerdict(state, BRANCH_CORNER_REACHABLE, float(w), float(q0))
-    return CauseVerdict(state, BRANCH_CORNER_UNREACHABLE, float(w), float(q0))
+    reachable = state in reachable_avoiding(sub, initial, ())
+    branch = BRANCH_CORNER_REACHABLE if reachable else BRANCH_CORNER_UNREACHABLE
+    return CauseVerdict(state, branch, float(w), float(q0))
 
 
 def single_state_verdict(
