@@ -53,7 +53,8 @@ class ReachValues:
         n, m = self._model.n_states, len(self._model.actions)
         q = (self._model.trans.reshape(n * m, n) @ self.values).reshape(n, m)
         mask = self._model.enabled & (np.abs(self.values[:, None] - q) <= KAPPA_ACT)
-        return tuple(tuple(int(a) for a in np.flatnonzero(mask[s])) for s in range(n))
+        # one conversion to Python bools, not one flatnonzero per state
+        return tuple(tuple(a for a, on in enumerate(row) if on) for row in mask.tolist())
 
 
 def _target_mask(n: int, target: Iterable[int]) -> np.ndarray:
