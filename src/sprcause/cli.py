@@ -60,6 +60,9 @@ def _write(out: str | None, text: str):
 
 
 def _default_workers() -> int:
+    # the CPUs this process may run on (taskset, cpusets), not the machine's
+    if hasattr(os, "sched_getaffinity"):
+        return min(len(os.sched_getaffinity(0)), 8)
     return min(os.cpu_count() or 1, 8)
 
 
@@ -75,7 +78,7 @@ def main():
 @click.option("--delta", type=float, default=0.0, show_default=True)
 @click.option("--beta", type=float, default=0.99, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--workers", type=int, default=None, help="parallel sample analysis (default: cpu count)")
+@click.option("--workers", type=int, default=None, help="parallel sample analysis (default: usable CPUs, at most 8)")
 @click.option("--out", default=None, help="write the solution JSON here (default: stdout)")
 @click.option("--exact", is_flag=True,
               help="re-decide corner verdicts with exact arithmetic (models of at most "

@@ -13,11 +13,21 @@ below with graph-based precomputation pinning the exact 0 and 1 values:
 
 Pinning matters: a residual check alone can stop far below the true value
 when the only mass flows through slow cycles.
+
+The pinning masks depend on the model only through its boolean support, so
+they are cached by it: the key is the objective, the shape, the packed
+positive-transition mask, the enabled mask and the target mask.  A hit
+therefore returns exactly the masks a fresh computation would, and the
+value iteration that follows runs the same float operations.  Samples of
+one parametric model usually share their support (every sample of the
+builtin models does), so the base model and each pivot's modified model
+(one entry per class of w_c: 0, 1 or in between) compute their masks once.  The cached arrays are read-only, and the cache
+is cleared when it reaches MASK_CACHE_MAX entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -28,6 +38,9 @@ from .model import ConcreteModel, Graph
 VI_TOL = 1e-10
 KAPPA_ACT = 1e-7
 MAX_SWEEPS = 10**6
+MASK_CACHE_MAX = 4096
+
+_MASK_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
 class IterationLimitError(RuntimeError):
@@ -42,6 +55,8 @@ class ReachValues:
     residual: float
     sweeps: int
     _model: "ConcreteModel"
+    _optimal: tuple[tuple[int, ...], ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -49,12 +64,15 @@ class ReachValues:
     @property
     def optimal_actions(self) -> tuple[tuple[int, ...], ...]:
         """Per state, the enabled actions whose backup matches the value
-        within KAPPA_ACT (computed on demand)."""
-        n, m = self._model.n_states, len(self._model.actions)
-        q = (self._model.trans.reshape(n * m, n) @ self.values).reshape(n, m)
-        mask = self._model.enabled & (np.abs(self.values[:, None] - q) <= KAPPA_ACT)
-        # one conversion to Python bools, not one flatnonzero per state
-        return tuple(tuple(a for a, on in enumerate(row) if on) for row in mask.tolist())
+        within KAPPA_ACT (computed on first read, then stored)."""
+        if self._optimal is None:
+            n, m = self._model.n_states, len(self._model.actions)
+            q = (self._model.trans.reshape(n * m, n) @ self.values).reshape(n, m)
+            mask = self._model.enabled & (np.abs(self.values[:, None] - q) <= KAPPA_ACT)
+            # one conversion to Python bools, not one flatnonzero per state
+            optimal = tuple(tuple(a for a, on in enumerate(row) if on) for row in mask.tolist())
+            object.__setattr__(self, "_optimal", optimal)
+        return self._optimal
 
 
 def _target_mask(n: int, target: Iterable[int]) -> np.ndarray:
@@ -105,6 +123,26 @@ def _prob0_min_mask(pos: np.ndarray, enabled: np.ndarray, tgt: np.ndarray) -> np
         u = grown
 
 
+def _pinning_masks(
+    objective: str, pos: np.ndarray, enabled: np.ndarray, tgt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(prob0, prob1) of the objective, cached by the boolean support."""
+    n, m = enabled.shape
+    key = (objective, n, m, np.packbits(pos).tobytes(), enabled.tobytes(), tgt.tobytes())
+    masks = _MASK_CACHE.get(key)
+    if masks is None:
+        if objective == "max":
+            masks = (_prob0_max_mask(pos, tgt), _prob1_max_mask(pos, enabled, tgt))
+        else:
+            masks = (_prob0_min_mask(pos, enabled, tgt), np.zeros(n, dtype=bool))
+        for mask in masks:
+            mask.setflags(write=False)
+        if len(_MASK_CACHE) >= MASK_CACHE_MAX:
+            _MASK_CACHE.clear()
+        _MASK_CACHE[key] = masks
+    return masks
+
+
 def _value_iteration(
     model: ConcreteModel,
     target: set[int],
@@ -114,13 +152,7 @@ def _value_iteration(
     n, m = model.n_states, len(model.actions)
     tgt = _target_mask(n, target)
     pos = (model.trans > 0.0) & model.enabled[:, :, None]
-
-    if objective == "max":
-        p0 = _prob0_max_mask(pos, tgt)
-        p1 = _prob1_max_mask(pos, model.enabled, tgt)
-    else:
-        p0 = _prob0_min_mask(pos, model.enabled, tgt)
-        p1 = np.zeros(n, dtype=bool)
+    p0, p1 = _pinning_masks(objective, pos, model.enabled, tgt)
 
     pinned = p0 | p1 | tgt
     v = np.zeros(n)
@@ -145,7 +177,7 @@ def _value_iteration(
         new = reduce_(q, axis=1)
         new[no_action] = 0.0
         new[pinned] = v[pinned]
-        residual = float(np.max(np.abs(new - v)))
+        residual = float(np.abs(new - v).max())
         v = new
         sweeps += 1
         if trace is not None:

@@ -49,6 +49,27 @@ def test_identify_byte_identical_across_runs_and_workers(runner, tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_identify_default_workers_follow_cpu_affinity(runner, tmp_path, monkeypatch):
+    from sprcause import cli
+
+    seen = []
+    original = cli.solve
+
+    def recording(pmodel, dist, n, delta, beta, seed, config, verbose):
+        seen.append(config.workers)
+        return original(pmodel, dist, n, delta, beta, seed, config, verbose)
+
+    monkeypatch.setattr(cli, "solve", recording)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    result = runner.invoke(main, [
+        "identify", "--model", "example", "--dist", "example",
+        "-N", "10", "--out", str(tmp_path / "sol.json"),
+    ])
+    assert result.exit_code == 0
+    assert seen == [1]
+
+
 def test_identify_empty_solution_exits_two(runner, tmp_path):
     out = tmp_path / "sol.json"
     result = runner.invoke(main, [

@@ -4,14 +4,23 @@ import numpy as np
 import pytest
 
 from oracles import random_rational_mdp
+from sprcause import fixtures, reach
 from sprcause.exact import exact_reach
 from sprcause.model import instantiate, parse_model, support_graph
 from sprcause.reach import (
+    KAPPA_ACT,
+    _pinning_masks,
+    _prob0_max_mask,
+    _prob0_min_mask,
+    _prob1_max_mask,
+    _target_mask,
     exists_path_via,
     max_reach,
     min_reach,
     reachable_avoiding,
 )
+from sprcause.sampling import align_dist, sample
+from sprcause.sprcheck import build_modified, singleton_causes
 
 CHAIN = parse_model(json.dumps({
     "states": ["s0", "e"],
@@ -131,3 +140,107 @@ def test_exists_path_via_example_false_case(example_model):
     g = support_graph(c)
     s2, s3 = c.state_index("s2"), c.state_index("s3")
     assert not exists_path_via(g, c.initial, via=[s2, s3], target=c.effect, avoid=[s3])
+
+
+# --- pinning-mask cache and optimal actions --------------------------------
+
+def _support(c, target):
+    return (c.trans > 0.0) & c.enabled[:, :, None], _target_mask(c.n_states, target)
+
+
+def _points(model_name, dist_name, n, seed=3):
+    parametric = fixtures.builtin_model(model_name)
+    dist = align_dist(fixtures.builtin_dist(dist_name), parametric.param_space.names)
+    return parametric, sample(dist, n, seed).points
+
+
+# the pivots' w_c classes (0, 1, interior) each model's samples reach
+@pytest.mark.parametrize("model_name, dist_name, n, classes_seen", [
+    ("example", "example", 8, {"0", "1", "interior"}),
+    ("appendix-e", "appendix-e", 8, {"0", "interior"}),
+    ("grid-a", "grid", 2, {"0", "interior"}),
+])
+def test_cached_masks_equal_a_fresh_computation(model_name, dist_name, n, classes_seen,
+                                                monkeypatch):
+    monkeypatch.setattr(reach, "_MASK_CACHE", {})
+    parametric, points = _points(model_name, dist_name, n)
+    classes = set()
+    for point in points:
+        c = instantiate(parametric, point)
+        singleton_causes(c)  # fills the cache the way the solver does
+        filled = len(reach._MASK_CACHE)
+        pos, tgt = _support(c, c.effect)
+        p0, p1 = _pinning_masks("min", pos, c.enabled, tgt)
+        assert np.array_equal(p0, _prob0_min_mask(pos, c.enabled, tgt)) and not p1.any()
+        base_min = min_reach(c, c.effect).values
+        for pivot in range(c.n_states):
+            if pivot in c.effect or pivot == c.initial:
+                continue
+            w = float(base_min[pivot])
+            classes.add("0" if w == 0.0 else "1" if w == 1.0 else "interior")
+            mod = build_modified(c, pivot, commit_prob=w).model
+            pos, tgt = _support(mod, mod.effect)
+            p0, p1 = _pinning_masks("max", pos, mod.enabled, tgt)
+            assert np.array_equal(p0, _prob0_max_mask(pos, tgt))
+            assert np.array_equal(p1, _prob1_max_mask(pos, mod.enabled, tgt))
+            assert not p0.flags.writeable and not p1.flags.writeable
+        assert len(reach._MASK_CACHE) == filled  # every lookup above was a hit
+    assert classes == classes_seen
+
+
+def test_each_commit_class_of_a_pivot_has_its_own_entry(example_model, monkeypatch):
+    # w_c = 0, 1 and in between differ only in the pivot row's support
+    monkeypatch.setattr(reach, "_MASK_CACHE", {})
+    c = instantiate(example_model, [0.5, 0.5])
+    for w in (0.0, 0.5, 1.0, 0.0, 0.5, 1.0):
+        mod = build_modified(c, c.state_index("s2"), commit_prob=w).model
+        pos, tgt = _support(mod, mod.effect)
+        p0, p1 = _pinning_masks("max", pos, mod.enabled, tgt)
+        assert np.array_equal(p0, _prob0_max_mask(pos, tgt))
+        assert np.array_equal(p1, _prob1_max_mask(pos, mod.enabled, tgt))
+    assert len(reach._MASK_CACHE) == 3
+
+
+def test_cold_and_warm_cache_give_identical_values(monkeypatch):
+    for model_name, dist_name in (("example", "example"), ("grid-a", "grid")):
+        parametric, points = _points(model_name, dist_name, 2, seed=8)
+        first, second = (instantiate(parametric, p) for p in points)
+        runs = []
+        for warm_up in (False, True):
+            monkeypatch.setattr(reach, "_MASK_CACHE", {})
+            if warm_up:
+                singleton_causes(first)
+            mod = build_modified(second, second.initial + 1).model
+            runs.append([
+                r(m, m.effect).values.tobytes()
+                for m in (second, mod) for r in (min_reach, max_reach)
+            ])
+        assert runs[0] == runs[1]
+
+
+def test_mask_cache_never_exceeds_its_bound(monkeypatch):
+    monkeypatch.setattr(reach, "_MASK_CACHE", {})
+    monkeypatch.setattr(reach, "MASK_CACHE_MAX", 3)
+    for p in (0.25, 1.0):
+        c = instantiate(CHAIN, [p])
+        for target in ([], [0], [1], [0, 1]):
+            for objective in ("min", "max"):
+                pos, tgt = _support(c, target)
+                p0, _ = _pinning_masks(objective, pos, c.enabled, tgt)
+                fresh = (_prob0_max_mask(pos, tgt) if objective == "max"
+                         else _prob0_min_mask(pos, c.enabled, tgt))
+                assert np.array_equal(p0, fresh)
+                assert len(reach._MASK_CACHE) <= 3
+
+
+def test_optimal_actions_are_computed_once_per_values(example_model):
+    c = instantiate(example_model, [0.5, 0.5])
+    for pivot in (c.state_index("s2"), c.state_index("s3")):
+        mod = build_modified(c, pivot).model
+        mx = max_reach(mod, mod.effect)
+        first = mx.optimal_actions
+        assert mx.optimal_actions is first
+        n, m = mod.n_states, len(mod.actions)
+        q = (mod.trans.reshape(n * m, n) @ mx.values).reshape(n, m)
+        mask = mod.enabled & (np.abs(mx.values[:, None] - q) <= KAPPA_ACT)
+        assert first == tuple(tuple(int(a) for a in np.flatnonzero(row)) for row in mask)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 from oracles import random_layered_mdp, random_rational_mdp
+from sprcause import fixtures
 from sprcause.model import instantiate, parse_model, support_graph
+from sprcause.sampling import align_dist, sample
 from sprcause.sprcheck import (
     BRANCH_GREATER,
     build_modified,
@@ -17,6 +20,7 @@ from sprcause.sprcheck import (
     single_state_verdict,
     single_state_verdict_exact,
     singleton_cause_set,
+    singleton_causes,
 )
 
 
@@ -241,3 +245,24 @@ def test_canonical_recall_dominance_exhaustive():
                     checked += 1
                     assert recall_covers(graph, canonical, combo, c.effect, c.initial)
     assert checked >= 25
+
+
+# --- verdict fingerprint --------------------------------------------------
+
+# SHA-256 of the repr of every singleton_causes verdict on fixed seeded
+# samples.  A change that claims to keep the verdict arithmetic bit for bit
+# must keep this digest; a change to the arithmetic replaces it on purpose.
+VERDICT_FINGERPRINT = "8fa15e1f6394493afc2f1ed36f08dacaf160ef88a25dc2969621cba7da9a7913"
+
+
+def test_verdict_fingerprint_is_pinned():
+    digest = hashlib.sha256()
+    for model_name, dist_name, n in (
+        ("example", "example", 50), ("appendix-e", "appendix-e", 50), ("grid-a", "grid", 10),
+    ):
+        parametric = fixtures.builtin_model(model_name)
+        dist = align_dist(fixtures.builtin_dist(dist_name), parametric.param_space.names)
+        for point in sample(dist, n, seed=11).points:
+            verdicts = singleton_causes(instantiate(parametric, point))
+            digest.update(repr(sorted(verdicts.items())).encode())
+    assert digest.hexdigest() == VERDICT_FINGERPRINT
