@@ -1,7 +1,7 @@
 """Exact-rational reachability for small models.
 
 Independent oracle for the float value-iteration path: deterministic
-memoryless policy iteration with exact Fraction linear solves.  Memoryless
+memoryless policy iteration in exact arithmetic.  Memoryless
 deterministic policies attain extremal reachability probabilities, and at
 termination the (honest) policy value is a fixed point of the optimal
 Bellman operator, which pins it to the true optimum.
@@ -10,12 +10,22 @@ For the min objective, states from which some policy avoids the target
 forever are pinned to exactly 0 in every evaluation; on the remaining
 states every policy leaks into target-or-pinned, which makes the policy
 evaluation systems nonsingular and the Bellman-min fixed point unique.
+
+The iteration runs on integers.  Each enabled row is scaled once to
+(L, {t: k}) with p_t = k / L.  Policy evaluation solves the integer system
+L·x_s − Σ k·x_t = Σ_{t in target} k by Bareiss' fraction-free elimination
+(Math. Comp. 22, 1968), which returns x = nums / det with det > 0; policy
+improvement compares Σ k·nums[t] with L·nums[s], the Bellman backup and
+the value both multiplied by L·det.  Fractions are built only for the
+returned values.  The optimum is unique and Fraction is canonical, so the
+result is bit-identical to the same iteration on Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 import numpy as np
@@ -67,52 +77,77 @@ class RationalMDP:
 
 
 def from_parametric(pmodel, point: Iterable[Fraction]) -> RationalMDP:
-    """Instantiate a parametric model at an exact rational point."""
+    """Instantiate a parametric model at an exact rational point.
+
+    Zero-probability entries are dropped, as in `from_concrete`: a row's
+    keys are its support, and the graph steps below read them as edges."""
     from .model import instantiate_exact
 
     rows = instantiate_exact(pmodel, [Fraction(x) for x in point])
     return RationalMDP(
         n_states=pmodel.n_states,
-        rows=tuple(tuple(r) for r in rows),
+        rows=tuple(
+            tuple(None if r is None else {t: p for t, p in r.items() if p != 0} for r in row)
+            for row in rows
+        ),
         initial=pmodel.initial,
     )
 
 
 def from_concrete(model: ConcreteModel) -> RationalMDP:
     """Convert float rows to exact binary rationals."""
-    rows = []
-    for s in range(model.n_states):
-        per_action: list[dict[int, Fraction] | None] = []
-        for a in range(len(model.actions)):
-            if not model.enabled[s, a]:
-                per_action.append(None)
-                continue
-            per_action.append(
-                {
-                    int(t): Fraction(float(model.trans[s, a, t]))
-                    for t in np.flatnonzero(model.trans[s, a] > 0.0)
-                }
-            )
-        rows.append(tuple(per_action))
-    return RationalMDP(n_states=model.n_states, rows=tuple(rows), initial=model.initial)
+    trans, enabled = model.trans.tolist(), model.enabled.tolist()
+    rows = tuple(
+        tuple(
+            {t: Fraction(p) for t, p in enumerate(row) if p > 0.0} if on else None
+            for row, on in zip(trans[s], enabled[s])
+        )
+        for s in range(model.n_states)
+    )
+    return RationalMDP(n_states=model.n_states, rows=rows, initial=model.initial)
 
 
-def _solve_linear(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination with exact fractions."""
+def _scaled(row: dict[int, Fraction]) -> tuple[int, dict[int, int]]:
+    """One row over its common denominator: (L, {t: k}) with p_t = k / L."""
+    big = lcm(*(p.denominator for p in row.values()))
+    return big, {t: p.numerator * (big // p.denominator) for t, p in row.items()}
+
+
+def _scaled_rows(mdp: RationalMDP) -> list[list[tuple[int, dict[int, int]] | None]]:
+    return [[None if row is None else _scaled(row) for row in rows] for rows in mdp.rows]
+
+
+def _solve_bareiss(a: list[list[int]], b: list[int]) -> tuple[list[int], int]:
+    """Solve the integer system a·x = b by fraction-free elimination.
+
+    Bareiss' forward pass keeps every entry an integer (each division is
+    exact); back substitution then yields x = nums / det with integer
+    nums, by Cramer's rule.  Returns (nums, det) with det > 0.
+    """
     n = len(b)
     m = [row[:] + [b[i]] for i, row in enumerate(a)]
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
             raise ZeroDivisionError("singular system")
         m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
+        top, d = m[col], m[col][col]
+        for r in range(col + 1, n):
+            row, f = m[r], m[r][col]
+            for j in range(col + 1, n + 1):
+                row[j] = (d * row[j] - f * top[j]) // prev
+            row[col] = 0
+        prev = d
+    det = prev
+    nums = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        acc = det * row[n] - sum(row[j] * nums[j] for j in range(i + 1, n))
+        nums[i] = acc // row[i]
+    if det < 0:
+        return [-x for x in nums], -det
+    return nums, det
 
 
 def _avoid_forever(mdp: RationalMDP, target: set[int]) -> set[int]:
@@ -132,13 +167,15 @@ def _avoid_forever(mdp: RationalMDP, target: set[int]) -> set[int]:
 
 
 def _evaluate(
-    mdp: RationalMDP, policy: list[int], target: set[int], zero: set[int]
-) -> list[Fraction]:
-    """Exact reach probabilities of the policy's chain; `zero` states pinned."""
+    mdp: RationalMDP,
+    scaled: list[list[tuple[int, dict[int, int]] | None]],
+    policy: list[int],
+    target: set[int],
+    zero: set[int],
+) -> tuple[list[int], int]:
+    """Exact reach probabilities of the policy's chain, as (nums, det) with
+    value_s = nums[s] / det; `zero` states pinned."""
     n = mdp.n_states
-    values: list[Fraction] = [Fraction(0)] * n
-    for t in target:
-        values[t] = Fraction(1)
     # states that can reach the target in this chain; the rest stay 0
     succ: list[set[int]] = [set() for _ in range(n)]
     for s in range(n):
@@ -154,23 +191,28 @@ def _evaluate(
                 can.add(s)
                 changed = True
     unknown = [s for s in range(n) if s in can and s not in target and s not in zero]
+    nums, det = [0] * n, 1
     if unknown:
+        # L·x_s − Σ_{t unknown} k·x_t = Σ_{t in target} k
         idx = {s: i for i, s in enumerate(unknown)}
         k = len(unknown)
-        a = [[Fraction(0)] * k for _ in range(k)]
-        b = [Fraction(0)] * k
+        a = [[0] * k for _ in range(k)]
+        b = [0] * k
         for s in unknown:
             i = idx[s]
-            a[i][i] += 1
-            for t, p in mdp.rows[s][policy[s]].items():
+            big, row = scaled[s][policy[s]]
+            a[i][i] += big
+            for t, c in row.items():
                 if t in idx:
-                    a[i][idx[t]] -= p
-                else:
-                    b[i] += p * values[t]
-        sol = _solve_linear(a, b)
+                    a[i][idx[t]] -= c
+                elif t in target:
+                    b[i] += c
+        sol, det = _solve_bareiss(a, b)
         for s in unknown:
-            values[s] = sol[idx[s]]
-    return values
+            nums[s] = sol[idx[s]]
+    for t in target:
+        nums[t] = det
+    return nums, det
 
 
 def exact_reach(
@@ -188,6 +230,7 @@ def exact_reach(
     n = mdp.n_states
     zero = _avoid_forever(mdp, target) if objective == "min" else set()
     better = (lambda q, v: q > v) if objective == "max" else (lambda q, v: q < v)
+    scaled = _scaled_rows(mdp)
 
     policy = [acts[0] if (acts := mdp.enabled(s)) else -1 for s in range(n)]
     seen_policies = set()
@@ -196,16 +239,36 @@ def exact_reach(
         if key in seen_policies:
             raise RuntimeError("policy iteration cycled")
         seen_policies.add(key)
-        values = _evaluate(mdp, policy, target, zero)
+        nums, det = _evaluate(mdp, scaled, policy, target, zero)
         improved = False
         for s in range(n):
             if s in target or s in zero or policy[s] < 0:
                 continue
-            for a in mdp.enabled(s):
-                q = sum((p * values[t] for t, p in mdp.rows[s][a].items()), Fraction(0))
-                if better(q, values[s]):
+            # q_a > v_s  <=>  Σ k·nums[t] > L·nums[s]  (both sides times L·det > 0)
+            for a, scaled_row in enumerate(scaled[s]):
+                if scaled_row is None:
+                    continue
+                big, row = scaled_row
+                if better(sum(c * nums[t] for t, c in row.items()), big * nums[s]):
                     policy[s] = a
                     improved = True
                     break
         if not improved:
-            return values
+            return [Fraction(x, det) for x in nums]
+
+
+def optimal_successors(mdp: RationalMDP, values: list[Fraction]) -> list[frozenset[int]]:
+    """Per state, the successors of its value-optimal actions: the actions
+    whose one-step backup equals the state's value exactly."""
+    den = lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    succ = []
+    for s, rows in enumerate(_scaled_rows(mdp)):
+        targets: set[int] = set()
+        for scaled in rows:
+            if scaled is not None:
+                big, row = scaled
+                if sum(c * nums[t] for t, c in row.items()) == big * nums[s]:
+                    targets.update(row)
+        succ.append(frozenset(targets))
+    return succ

@@ -232,13 +232,4 @@ def single_state_verdict_exact(
         return CauseVerdict(state, BRANCH_GREATER, float(w), float(q0))
     if w < q0:
         return CauseVerdict(state, BRANCH_LESS, float(w), float(q0))
-    succ = []
-    for s in range(modified.n_states):
-        targets: set[int] = set()
-        for a in modified.enabled(s):
-            row = modified.rows[s][a]
-            q = sum((p * values[t] for t, p in row.items()), Fraction(0))
-            if q == values[s]:
-                targets |= set(row)
-        succ.append(frozenset(targets))
-    return _corner(state, modified.initial, succ, w, q0)
+    return _corner(state, modified.initial, exact_mod.optimal_successors(modified, values), w, q0)

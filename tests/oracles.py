@@ -2,7 +2,8 @@
 
 Each oracle deliberately avoids the code path it checks: the tail-bound
 oracle works on integers, the probability oracles integrate the density,
-and the cover oracle enumerates simple paths.  The restricted estimators
+the cover oracle enumerates simple paths, and the exact-solver oracles
+work on Fractions where the exact back end works on integers.  The restricted estimators
 re-analyse every point per quantity, with the analysis restricted to the
 states the quantity asks about, instead of querying one shared batch.
 """
@@ -233,3 +234,35 @@ def restricted_recall_fraction(
         if _restricted_recall_indicator(instantiate(pmodel, p), collection, candidate_states)
     )
     return hits / n_samples
+
+
+def fraction_solve_linear(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
+    """Gauss-Jordan elimination on Fractions (the exact back end's former solver)."""
+    n = len(b)
+    m = [row[:] + [b[i]] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular system")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return [m[i][n] for i in range(n)]
+
+
+def fraction_optimal_successors(mdp: RationalMDP, values: list[Fraction]) -> list[frozenset[int]]:
+    """Successors of the value-optimal actions by Fraction backups, one action at a time."""
+    succ = []
+    for s in range(mdp.n_states):
+        targets: set[int] = set()
+        for a in mdp.enabled(s):
+            row = mdp.rows[s][a]
+            q = sum((p * values[t] for t, p in row.items()), Fraction(0))
+            if q == values[s]:
+                targets |= set(row)
+        succ.append(frozenset(targets))
+    return succ

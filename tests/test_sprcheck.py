@@ -7,6 +7,7 @@ import pytest
 
 from oracles import random_layered_mdp, random_rational_mdp
 from sprcause import fixtures
+from sprcause.exact import exact_reach, from_concrete, from_parametric
 from sprcause.model import instantiate, parse_model, support_graph
 from sprcause.sampling import align_dist, sample
 from sprcause.sprcheck import (
@@ -266,3 +267,36 @@ def test_verdict_fingerprint_is_pinned():
             verdicts = singleton_causes(instantiate(parametric, point))
             digest.update(repr(sorted(verdicts.items())).encode())
     assert digest.hexdigest() == VERDICT_FINGERPRINT
+
+
+# SHA-256 over the exact layer: every non-effect single_state_verdict_exact
+# verdict plus the exact min and max values, on from_concrete of seeded
+# samples and on from_parametric at interior rational points (boundary
+# points, where rows lose entries, are left out on purpose).  The exact
+# optimum is unique and Fraction is canonical, so any correct solver keeps
+# this digest.
+EXACT_DIGEST = "c235007715825e5eb6af4e6205c202d02dae13ec2fad41127416b8b757314480"
+
+
+def _exact_layer_repr(mdp, effect) -> bytes:
+    verdicts = [
+        single_state_verdict_exact(mdp, c, effect)
+        for c in range(mdp.n_states) if c not in effect
+    ]
+    values = [exact_reach(mdp, effect, objective) for objective in ("min", "max")]
+    return repr((verdicts, values)).encode()
+
+
+def test_exact_digest_is_pinned():
+    digest = hashlib.sha256()
+    interior = [Fraction(k, 7) for k in range(1, 7)] + [Fraction(1, 3), Fraction(5, 11)]
+    for model_name, dist_name in (("example", "example"), ("appendix-e", "appendix-e")):
+        parametric = fixtures.builtin_model(model_name)
+        effect = set(parametric.effect)
+        dist = align_dist(fixtures.builtin_dist(dist_name), parametric.param_space.names)
+        for point in sample(dist, 150, seed=23).points:
+            digest.update(_exact_layer_repr(from_concrete(instantiate(parametric, point)), effect))
+        for p in interior:
+            for q in interior:
+                digest.update(_exact_layer_repr(from_parametric(parametric, [p, q]), effect))
+    assert digest.hexdigest() == EXACT_DIGEST

@@ -1,14 +1,17 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import prob_first_greater, restricted_cause_fraction, restricted_recall_fraction
 from sprcause import fixtures
+from sprcause.bounds import recall_optimal
 from sprcause.model import instantiate, parse_model
-from sprcause.sampling import parse_dist
+from sprcause.sampling import align_dist, parse_dist, sample
 from sprcause.validate import (
     CapExceededError,
+    fresh_analyses,
     estimate_cause_probability,
     estimate_recall_probability,
     mean_point_baseline,
@@ -156,3 +159,28 @@ def test_reordered_parameters_give_the_same_answers(example_model, example_dist)
     want = estimate_cause_probability(example_model, dist, {s1, s3}, 60, seed=9)
     assert got == want
     assert 0.0 < want.value < 0.5
+
+
+GRID_SOLUTION = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "data" / "grid-a-N100-delta0.001.solution.json"
+)
+
+
+def test_grid_validate_seed_5008_misses_one_point(grid_model_a, grid_dist):
+    # `validate --model grid-a --dist grid -M 50 --seed 5008` on the benchmark's
+    # solution reports R = 0.98.  That is the right answer: at one point no
+    # member is made of singleton causes, and the canonical cause there
+    # shares no member.  The solution's zeta (0.955) allows such misses.
+    doc = json.loads(GRID_SOLUTION.read_text(encoding="utf-8"))
+    members = [frozenset(grid_model_a.state_index(s) for s in m) for m in doc["members"]]
+    s_n = frozenset(grid_model_a.state_index(s) for s in doc["S_N"])
+    analyses = fresh_analyses(grid_model_a, grid_dist, 50, 5008)
+    missed = [
+        i for i in range(analyses.n)
+        if not any(recall_optimal(m, analyses, i, s_n) for m in members)
+    ]
+    assert missed == [44]
+    points = sample(align_dist(grid_dist, grid_model_a.param_space.names), 50, 5008).points
+    assert np.allclose(points[44], (0.879, 0.542, 0.507), atol=5e-4)
+    canonical = analyses.canonical(44, s_n)
+    assert sorted(grid_model_a.states[s] for s in canonical) == ["c6_5", "c7_7"]
