@@ -19,11 +19,11 @@ import numpy as np
 
 from . import fixtures
 from .bounds import cause_sample_count, tail_root
-from .exact import DEFAULT_STATE_CAP, from_concrete
+from .exact import from_concrete
 from .gridworld import builtin_dist_json, builtin_env, generate, spec_from_json
 from .model import ModelError, instantiate, load_model, model_to_json, support_graph
 from .sampling import DistError, load_dist
-from .solver import SolveConfig, solve
+from .solver import DEFAULT_STATE_CAP, SolveConfig, solve
 from .sprcheck import satisfies_minimality, single_state_verdict_exact, singleton_causes
 from .validate import fresh_analyses, mean_point_baseline, recall_gap, vertex_baseline
 
@@ -118,7 +118,8 @@ def identify(model_ref, dist_ref, n_samples, delta, beta, seed, workers, out, ex
 @main.command()
 @click.option("--model", "model_ref", required=True)
 @click.option("--point", "point_str", required=True, help="comma-separated parameter values")
-@click.option("--exact", is_flag=True, help="decide corner verdicts with exact arithmetic")
+@click.option("--exact", is_flag=True,
+              help="decide every listed state's verdict with exact arithmetic (any model size)")
 @click.argument("cause_states", nargs=-1, required=True)
 def check(model_ref, point_str, exact, cause_states):
     """Check whether a state set is an SPR cause at a concrete point."""
@@ -131,11 +132,8 @@ def check(model_ref, point_str, exact, cause_states):
             raise click.UsageError("cause states must avoid the effect set")
         if exact:
             rational = from_concrete(concrete)
-            verdicts = {
-                c: single_state_verdict_exact(rational, c, set(concrete.effect),
-                                              concrete.n_states + 1)
-                for c in cause
-            }
+            verdicts = {c: single_state_verdict_exact(rational, c, set(concrete.effect))
+                        for c in cause}
         else:
             verdicts = singleton_causes(concrete, cause)
     except (ModelError, ValueError) as e:

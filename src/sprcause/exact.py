@@ -1,4 +1,4 @@
-"""Exact-rational reachability for small models.
+"""Exact-rational reachability.
 
 Independent oracle for the float value-iteration path: deterministic
 memoryless policy iteration in exact arithmetic.  Memoryless
@@ -25,18 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from typing import Iterable
 
 import numpy as np
 
-from .model import ConcreteModel
-
-DEFAULT_STATE_CAP = 12
-
-
-class StateCapError(ValueError):
-    """Model too large for the exact back end."""
+from .expr import evaluate
+from .model import ConcreteModel, ModelError
 
 
 @dataclass(frozen=True)
@@ -79,19 +75,25 @@ class RationalMDP:
 def from_parametric(pmodel, point: Iterable[Fraction]) -> RationalMDP:
     """Instantiate a parametric model at an exact rational point.
 
-    Zero-probability entries are dropped, as in `from_concrete`: a row's
-    keys are its support, and the graph steps below read them as edges."""
-    from .model import instantiate_exact
-
-    rows = instantiate_exact(pmodel, [Fraction(x) for x in point])
-    return RationalMDP(
-        n_states=pmodel.n_states,
-        rows=tuple(
-            tuple(None if r is None else {t: p for t, p in r.items() if p != 0} for r in row)
-            for row in rows
-        ),
-        initial=pmodel.initial,
-    )
+    Raises ModelError unless every row is exactly a distribution.  Zero
+    entries are dropped, as in `from_concrete`: a row's keys are its
+    support, and the graph steps below read them as edges."""
+    point = [Fraction(x) for x in point]
+    if len(point) != pmodel.param_space.dimension:
+        raise ModelError("parameter point has wrong dimension")
+    env = dict(zip(pmodel.param_space.names, point))
+    rows = [[None] * pmodel.n_actions for _ in range(pmodel.n_states)]
+    for s, a in product(range(pmodel.n_states), range(pmodel.n_actions)):
+        exprs = pmodel.transitions[s][a]
+        if exprs is None:
+            continue
+        vals = {t: evaluate(ex, env, Fraction) for t, ex in exprs.items()}
+        if any(v < 0 or v > 1 for v in vals.values()):
+            raise ModelError(f"entry out of [0,1] at ({pmodel.states[s]}, {pmodel.actions[a]})")
+        if sum(vals.values()) != 1:
+            raise ModelError(f"row does not sum to 1 at ({pmodel.states[s]}, {pmodel.actions[a]})")
+        rows[s][a] = {t: v for t, v in vals.items() if v != 0}
+    return RationalMDP(pmodel.n_states, tuple(map(tuple, rows)), pmodel.initial)
 
 
 def from_concrete(model: ConcreteModel) -> RationalMDP:
@@ -219,11 +221,8 @@ def exact_reach(
     mdp: RationalMDP,
     target: Iterable[int],
     objective: str,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> list[Fraction]:
     """Exact optimal reachability values (min or max over policies)."""
-    if mdp.n_states > state_cap:
-        raise StateCapError(f"{mdp.n_states} states exceeds cap {state_cap}")
     if objective not in ("min", "max"):
         raise ValueError("objective must be 'min' or 'max'")
     target = set(target)

@@ -2,16 +2,15 @@
 
 Transition probabilities of a parametric MDP are small arithmetic
 expressions such as ``"1-p"`` or ``"p*q + 0.5"``.  This module holds the
-AST, a recursive-descent parser with position-aware errors, evaluation
-(over floats or exact Fractions), and a printer whose output re-parses to
-a structurally identical tree.
+AST, a recursive-descent parser with position-aware errors, one
+evaluator (over floats, or over exact Fractions for the exact back end),
+and a printer whose output re-parses to a structurally identical tree.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class ExprError(ValueError):
@@ -75,35 +74,17 @@ Expr = Num | Var | Neg | BinOp
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def evaluate(expr: Expr, env: dict[str, float]) -> float:
-    """Evaluate at a parameter point. Division by zero raises ExprError."""
+def evaluate(expr: Expr, env: dict, num=float):
+    """Evaluate at a parameter point, reading literals as `num(text)`: float
+    arithmetic by default, exact with num=Fraction and Fraction values in
+    `env`.  Division by zero raises ExprError."""
     if isinstance(expr, Num):
-        return float(expr.text)
+        return num(expr.text)
     if isinstance(expr, Var):
         return env[expr.name]
     if isinstance(expr, Neg):
-        return -evaluate(expr.operand, env)
-    a, b = evaluate(expr.left, env), evaluate(expr.right, env)
-    if expr.op == "+":
-        return a + b
-    if expr.op == "-":
-        return a - b
-    if expr.op == "*":
-        return a * b
-    if b == 0:
-        raise ExprError("division by zero during evaluation")
-    return a / b
-
-
-def evaluate_exact(expr: Expr, env: dict[str, Fraction]) -> Fraction:
-    """Evaluate with exact rational arithmetic (decimal literals are exact)."""
-    if isinstance(expr, Num):
-        return Fraction(expr.text)
-    if isinstance(expr, Var):
-        return env[expr.name]
-    if isinstance(expr, Neg):
-        return -evaluate_exact(expr.operand, env)
-    a, b = evaluate_exact(expr.left, env), evaluate_exact(expr.right, env)
+        return -evaluate(expr.operand, env, num)
+    a, b = evaluate(expr.left, env, num), evaluate(expr.right, env, num)
     if expr.op == "+":
         return a + b
     if expr.op == "-":

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .expr import Expr, ExprError, ParamSpace, evaluate, evaluate_exact, is_literal_zero, parse_expr
+from .expr import Expr, ExprError, ParamSpace, evaluate, is_literal_zero, parse_expr
 
 ROW_SUM_TOL = 1e-9
 ENTRY_TOL = 1e-12
@@ -111,6 +110,9 @@ def parse_model(document: str) -> ParametricModel:
     if missing:
         raise ModelError(f"missing keys: {sorted(missing)}")
 
+    for key in ("states", "actions", "terminal_effect", "params"):
+        if not isinstance(doc[key], list) or not all(isinstance(x, str) for x in doc[key]):
+            raise ModelError(f"{key} must be a list of names, got {doc[key]!r}")
     states = tuple(doc["states"])
     actions = tuple(doc["actions"])
     if len(set(states)) != len(states) or len(set(actions)) != len(actions):
@@ -119,21 +121,28 @@ def parse_model(document: str) -> ParametricModel:
         raise ModelError("terminal_effect must be nonempty")
     s_index = {s: i for i, s in enumerate(states)}
     a_index = {a: i for i, a in enumerate(actions)}
-    if doc["initial"] not in s_index:
+    if not isinstance(doc["initial"], str) or doc["initial"] not in s_index:
         raise ModelError(f"initial state {doc['initial']!r} not declared")
     for e in doc["terminal_effect"]:
         if e not in s_index:
             raise ModelError(f"effect state {e!r} not declared")
     effect = frozenset(s_index[e] for e in doc["terminal_effect"])
-    params = ParamSpace(tuple(doc["params"]))
+    try:
+        params = ParamSpace(tuple(doc["params"]))
+    except ValueError as e:
+        raise ModelError(f"params: {e}") from None
 
     rows: list[list[dict[int, Expr] | None]] = [
         [None] * len(actions) for _ in states
     ]
     seen: set[tuple[int, int, int]] = set()
+    if not isinstance(doc["transitions"], list):
+        raise ModelError(f"transitions must be a list, got {doc['transitions']!r}")
     for tr in doc["transitions"]:
-        if set(tr) != _TRANS_KEYS:
-            raise ModelError(f"transition must have exactly keys {sorted(_TRANS_KEYS)}")
+        if not isinstance(tr, dict) or set(tr) != _TRANS_KEYS:
+            raise ModelError(f"transition must have exactly keys {sorted(_TRANS_KEYS)}, got {tr!r}")
+        if not all(isinstance(v, str) for v in tr.values()):
+            raise ModelError(f"transition {tr!r}: from, action, to and prob must be strings")
         for key in ("from", "to"):
             if tr[key] not in s_index:
                 raise ModelError(f"transition references unknown state {tr[key]!r}")
@@ -222,31 +231,6 @@ def instantiate(model: ParametricModel, point: Sequence[float]) -> ConcreteModel
         trans=trans,
         enabled=enabled,
     )
-
-
-def instantiate_exact(
-    model: ParametricModel, point: Sequence[Fraction]
-) -> "list[list[dict[int, Fraction] | None]]":
-    """Exact-rational rows for the same point (used by the exact back end)."""
-    if len(point) != model.param_space.dimension:
-        raise ModelError("parameter point has wrong dimension")
-    env = {name: Fraction(v) for name, v in zip(model.param_space.names, point)}
-    rows: list[list[dict[int, Fraction] | None]] = []
-    for s in range(model.n_states):
-        out: list[dict[int, Fraction] | None] = []
-        for a in range(model.n_actions):
-            row = model.transitions[s][a]
-            if row is None:
-                out.append(None)
-                continue
-            vals = {t: evaluate_exact(ex, env) for t, ex in row.items()}
-            if any(v < 0 or v > 1 for v in vals.values()):
-                raise ModelError(f"entry out of [0,1] at ({model.states[s]}, {model.actions[a]})")
-            if sum(vals.values()) != 1:
-                raise ModelError(f"row does not sum to 1 at ({model.states[s]}, {model.actions[a]})")
-            out.append(vals)
-        rows.append(out)
-    return rows
 
 
 def model_to_json(model: ParametricModel) -> dict:

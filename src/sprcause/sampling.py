@@ -86,13 +86,14 @@ class SampleBatch:
 def _marginal_from_json(doc) -> Marginal:
     if not isinstance(doc, dict) or len(doc) != 1:
         raise DistError(f"marginal must be {{'uniform': [lo, hi]}} or {{'point': v}}, got {doc!r}")
-    if "uniform" in doc:
-        lo, hi = doc["uniform"]
-        return Marginal("uniform", float(lo), float(hi))
-    if "point" in doc:
-        v = float(doc["point"])
-        return Marginal("point", v, v)
-    raise DistError(f"unknown marginal {doc!r}")
+    [(kind, value)] = doc.items()
+    if kind not in ("uniform", "point"):
+        raise DistError(f"unknown marginal {doc!r}")
+    try:
+        lo, hi = (float(x) for x in value) if kind == "uniform" else (float(value),) * 2
+    except (TypeError, ValueError) as e:
+        raise DistError(f"marginal {doc!r}: {e}") from None
+    return Marginal(kind, lo, hi)
 
 
 def parse_dist(document: str, params: tuple[str, ...] | None = None) -> DistSpec:
@@ -120,19 +121,25 @@ def parse_dist(document: str, params: tuple[str, ...] | None = None) -> DistSpec
     else:
         entries = [{"weight": 1.0, "marginals": doc}]
 
-    if not entries:
-        raise DistError("empty mixture")
-    names = params if params is not None else tuple(sorted(entries[0]["marginals"]))
+    if not isinstance(entries, list) or not entries:
+        raise DistError(f"mixture must be a nonempty list, got {entries!r}")
+    names = params
     weights = []
     components = []
     for entry in entries:
-        if set(entry) != {"weight", "marginals"}:
-            raise DistError("mixture entries need exactly 'weight' and 'marginals'")
+        if not (isinstance(entry, dict) and set(entry) == {"weight", "marginals"}
+                and isinstance(entry["marginals"], dict)):
+            raise DistError(f"mixture entries need a 'weight' and a 'marginals' object, got {entry!r}")
+        if names is None:
+            names = tuple(sorted(entry["marginals"]))
         if set(entry["marginals"]) != set(names):
             raise DistError(
                 f"component covers {sorted(entry['marginals'])}, expected {sorted(names)}"
             )
-        weights.append(float(entry["weight"]))
+        try:
+            weights.append(float(entry["weight"]))
+        except (TypeError, ValueError) as e:
+            raise DistError(f"weight {entry['weight']!r}: {e}") from None
         components.append(tuple(_marginal_from_json(entry["marginals"][p]) for p in names))
     return DistSpec(params=tuple(names), weights=tuple(weights), components=tuple(components))
 

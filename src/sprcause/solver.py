@@ -31,10 +31,12 @@ from .bounds import (
 from .model import ParametricModel, instantiate, support_graph
 from .sprcheck import single_state_verdict_exact, singleton_causes
 from . import exact as exact_mod
-from .exact import DEFAULT_STATE_CAP
 from .sampling import DistSpec, SampleBatch, align_dist, sample
 
 log = logging.getLogger(__name__)
+
+# --exact re-decides corners only on models this small; larger ones warn
+DEFAULT_STATE_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -95,14 +97,12 @@ def _analyze_point(
     concrete = instantiate(pmodel, point)
     verdicts = singleton_causes(concrete)
     if config.exact_corners and concrete.n_states <= DEFAULT_STATE_CAP:
-        rational = None
-        for c, v in verdicts.items():
-            if v.branch.startswith("corner"):
-                if rational is None:
-                    rational = exact_mod.from_concrete(concrete)
-                verdicts[c] = single_state_verdict_exact(
-                    rational, c, set(concrete.effect), DEFAULT_STATE_CAP + 1
-                )
+        # the initial state's corner is exact by construction (q0 = w_c)
+        corners = [c for c, v in verdicts.items()
+                   if v.branch.startswith("corner") and c != concrete.initial]
+        rational = exact_mod.from_concrete(concrete) if corners else None
+        for c in corners:
+            verdicts[c] = single_state_verdict_exact(rational, c, set(concrete.effect))
     causes = frozenset(c for c, v in verdicts.items() if v.sign == 1)
     return SampleAnalysis(cause_states=causes, graph=support_graph(concrete))
 

@@ -216,17 +216,14 @@ def _modified_rational(
 
 
 def single_state_verdict_exact(
-    mdp: exact_mod.RationalMDP,
-    state: int,
-    effect: set[int],
-    state_cap: int = exact_mod.DEFAULT_STATE_CAP,
+    mdp: exact_mod.RationalMDP, state: int, effect: set[int]
 ) -> CauseVerdict:
     """Same trichotomy with exact arithmetic; the corner is exact equality."""
     if state in effect:
         raise ValueError("pivot is an effect state")
-    w = exact_mod.exact_reach(mdp, effect, "min", state_cap)[state]
+    w = exact_mod.exact_reach(mdp, effect, "min")[state]
     modified = _modified_rational(mdp, state, effect, w)
-    values = exact_mod.exact_reach(modified, effect, "max", state_cap + 1)
+    values = exact_mod.exact_reach(modified, effect, "max")
     q0 = values[modified.initial]
     if w > q0:
         return CauseVerdict(state, BRANCH_GREATER, float(w), float(q0))

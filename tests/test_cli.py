@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from sprcause import fixtures
 from sprcause.cli import main
 
 
@@ -139,6 +140,38 @@ def test_distribution_model_mismatch_is_a_usage_error(runner, tmp_path, argv):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "distribution covers ['p0', 'p1', 'p2'], model needs ['p', 'q']" in result.output
+    assert "Traceback" not in result.output
+
+
+def _example_with_numeric_prob():
+    from sprcause.model import model_to_json
+
+    doc = model_to_json(fixtures.builtin_model("example"))
+    doc["transitions"][0]["prob"] = 1
+    return doc
+
+
+@pytest.mark.parametrize("flag, doc, message", [
+    ("--dist", {"mixture": [{"weight": 1}]},
+     "mixture entries need a 'weight' and a 'marginals' object, got {'weight': 1}"),
+    ("--dist", {"p": {"uniform": [0.1]}, "q": {"point": 0.5}},
+     "marginal {'uniform': [0.1]}: not enough values to unpack"),
+    ("--dist", {"mixture": 5}, "mixture must be a nonempty list, got 5"),
+    ("--dist", {"p": {"uniform": ["a", 1]}, "q": {"point": 0.5}},
+     "marginal {'uniform': ['a', 1]}: could not convert string to float: 'a'"),
+    ("--model", _example_with_numeric_prob(), "'prob': 1}: from, action, to and prob must be strings"),
+], ids=["entry-without-marginals", "uniform-one-bound", "mixture-not-a-list",
+        "uniform-bound-not-a-number", "model-prob-not-a-string"])
+def test_malformed_input_file_is_a_usage_error(runner, tmp_path, flag, doc, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    refs = {"--model": "example", "--dist": "example", flag: str(path)}
+    result = runner.invoke(main, [
+        "identify", "--model", refs["--model"], "--dist", refs["--dist"], "-N", "5",
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
     assert "Traceback" not in result.output
 
 

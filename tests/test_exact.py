@@ -10,14 +10,13 @@ from hypothesis import given, settings, strategies as st
 from oracles import fraction_optimal_successors, fraction_solve_linear, random_rational_mdp
 from sprcause.exact import (
     RationalMDP,
-    StateCapError,
     _solve_bareiss,
     exact_reach,
     from_concrete,
     from_parametric,
     optimal_successors,
 )
-from sprcause.model import instantiate, parse_model
+from sprcause.model import ModelError, instantiate, parse_model
 from sprcause.reach import max_reach, min_reach
 from sprcause.sampling import align_dist, sample
 from sprcause.sprcheck import _modified_rational, singleton_causes
@@ -44,13 +43,6 @@ def test_min_prefers_avoidance():
     mdp = RationalMDP(n_states=2, rows=rows, initial=0)
     assert exact_reach(mdp, {1}, "min")[0] == 0
     assert exact_reach(mdp, {1}, "max")[0] == 1
-
-
-def test_state_cap():
-    rng = np.random.default_rng(0)
-    mdp, effect = random_rational_mdp(rng, max_states=8)
-    with pytest.raises(StateCapError):
-        exact_reach(mdp, effect, "max", state_cap=2)
 
 
 def test_values_are_bellman_fixed_points():
@@ -94,6 +86,24 @@ def test_zero_probability_entries_are_not_edges():
     for objective in ("min", "max"):
         assert exact_reach(mdp, pmodel.effect, objective) == [0, 0, 1]
         assert exact_reach(from_concrete(concrete), pmodel.effect, objective) == [0, 0, 1]
+
+
+def test_from_parametric_rejects_ill_defined_points():
+    pmodel = parse_model(json.dumps({
+        "states": ["s0", "e"], "actions": ["a"], "initial": "s0",
+        "terminal_effect": ["e"], "params": ["p"],
+        "transitions": [
+            {"from": "s0", "action": "a", "to": "e", "prob": "p"},
+            {"from": "s0", "action": "a", "to": "s0", "prob": "1-p/2"},
+        ],
+    }))
+    with pytest.raises(ModelError, match="dimension"):
+        from_parametric(pmodel, [Fraction(1, 2), Fraction(1, 2)])
+    with pytest.raises(ModelError, match=r"out of \[0,1\] at \(s0, a\)"):
+        from_parametric(pmodel, [Fraction(3, 2)])
+    with pytest.raises(ModelError, match=r"does not sum to 1 at \(s0, a\)"):
+        from_parametric(pmodel, [Fraction(1, 2)])
+    assert from_parametric(pmodel, [Fraction(0)]).rows[0][0] == {0: Fraction(1)}
 
 
 # --- the integer solver against Fraction Gauss-Jordan ----------------------

@@ -11,7 +11,6 @@ from sprcause.expr import (
     ParamSpace,
     Var,
     evaluate,
-    evaluate_exact,
     parse_expr,
     to_string,
 )
@@ -65,13 +64,15 @@ def test_parenthesized_grouping():
 
 def test_exact_evaluation_uses_decimal_literals():
     tree = parse_expr("0.1+p", PQ)
-    assert evaluate_exact(tree, {"p": Fraction(1, 5), "q": Fraction(0)}) == Fraction(3, 10)
+    assert evaluate(tree, {"p": 0.2, "q": 0.0}) == 0.1 + 0.2
+    assert evaluate(tree, {"p": Fraction(1, 5), "q": Fraction(0)}, Fraction) == Fraction(3, 10)
 
 
 def test_division_by_zero_raises():
     tree = parse_expr("p/q", PQ)
-    with pytest.raises(ExprError):
-        evaluate(tree, {"p": 1.0, "q": 0.0})
+    for num in (float, Fraction):
+        with pytest.raises(ExprError):
+            evaluate(tree, {"p": num(1), "q": num(0)}, num)
 
 
 # random expression trees for the print/parse round trip

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sprcause.exact import from_parametric
 from sprcause.model import (
     ModelError,
     instantiate,
-    instantiate_exact,
     model_to_json,
     parse_model,
     support_graph,
@@ -93,7 +93,7 @@ def test_instantiate_wrong_dimension():
 
 
 def test_appendix_rows_sum_exactly(appendix_model):
-    rows = instantiate_exact(appendix_model, [Fraction(1, 2), Fraction(3, 10)])
+    rows = from_parametric(appendix_model, [Fraction(1, 2), Fraction(3, 10)]).rows
     for per_state in rows:
         for row in per_state:
             if row is not None:

@@ -1,12 +1,16 @@
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from oracles import path_cover_holds, recall_optimal_reference
-from sprcause import fixtures
+from sprcause import fixtures, solver
 from sprcause.bounds import recall_sample_count
-from sprcause.sampling import parse_dist, sample
+from sprcause.exact import from_concrete
+from sprcause.model import instantiate
+from sprcause.sampling import SampleBatch, parse_dist, sample
+from sprcause.sprcheck import single_state_verdict_exact, singleton_causes
 from sprcause.solver import (
     SolveConfig,
     analyze_batch,
@@ -149,6 +153,33 @@ def test_exact_within_the_state_cap_does_not_warn(example_model, example_dist, c
     with caplog.at_level(logging.WARNING, logger="sprcause.solver"):
         solve(example_model, example_dist, 5, 0.0, 0.99, 0, SolveConfig(exact_corners=True))
     assert not [r for r in caplog.records if "exact state cap" in r.getMessage()]
+
+
+def test_exact_corners_skip_the_initial_state(example_model, example_dist, monkeypatch):
+    # seeded points plus (0.5, 0.5), where s1 and s2 are corners as well
+    points = np.vstack([sample(example_dist, 40, seed=0).points, [[0.5, 0.5]]])
+    batch = SampleBatch(seed=0, points=points)
+    effect = set(example_model.effect)
+    calls = []
+
+    def spy(mdp, state, *rest):
+        calls.append(state)
+        return single_state_verdict_exact(mdp, state, *rest)
+
+    monkeypatch.setattr(solver, "single_state_verdict_exact", spy)
+    analyses = analyze_batch(example_model, batch, SolveConfig(exact_corners=True))
+    assert calls and example_model.initial not in calls
+
+    # reference: re-decide every corner exactly, the initial state's included
+    for point, analysis in zip(points, analyses.analyses):
+        concrete = instantiate(example_model, point)
+        verdicts = singleton_causes(concrete)
+        assert verdicts[concrete.initial].branch.startswith("corner")
+        rational = from_concrete(concrete)
+        for c, v in verdicts.items():
+            if v.branch.startswith("corner"):
+                verdicts[c] = single_state_verdict_exact(rational, c, effect)
+        assert analysis.cause_states == frozenset(c for c, v in verdicts.items() if v.sign == 1)
 
 
 def test_select_indices_prefers_superset():
