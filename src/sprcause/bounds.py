@@ -11,12 +11,17 @@ gives (1-beta)^(1/N), which is larger than the k=0 root of the equation
 above.  The CDF is evaluated through the regularized incomplete beta
 function, which stays finite for sample counts far beyond direct
 summation.
+
+Every count, cover set and Monte-Carlo estimate is the size of a union of
+sample sets that one memo on `AnalysisBatch` answers once per key: the
+samples where the canonical cause is empty, where a set is an SPR cause,
+and where a member is recall-optimal (plus each sample's canonical cause).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from scipy.special import betainc
 
@@ -72,39 +77,53 @@ class SampleAnalysis:
 
 @dataclass(frozen=True)
 class AnalysisBatch:
-    """Analyses for one sampled batch over a shared model skeleton."""
+    """Analyses for one sampled batch, and the memo of the queries on it."""
 
     initial: int
     effect: frozenset[int]
     analyses: tuple[SampleAnalysis, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_canonical_cache", {})
+        object.__setattr__(self, "_memo", {})
 
     @property
     def n(self) -> int:
         return len(self.analyses)
 
+    def _memoized(self, key: tuple, compute: Callable[[], frozenset[int]]) -> frozenset[int]:
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
     def canonical(self, index: int, restrict: frozenset[int]) -> frozenset[int]:
-        key = (index, restrict)
-        cache = self._canonical_cache
-        if key not in cache:
-            a = self.analyses[index]
-            cache[key] = cause_front(a.cause_states & restrict, a.graph, self.initial)
-        return cache[key]
+        a = self.analyses[index]
+        return self._memoized(("canonical", index, restrict), lambda: cause_front(
+            a.cause_states & restrict, a.graph, self.initial))
+
+    def empty_canonical_samples(self, restrict: frozenset[int]) -> frozenset[int]:
+        """Samples whose canonical cause over `restrict` is empty."""
+        return self._memoized(("empty", restrict), lambda: frozenset(
+            i for i in range(self.n) if not self.canonical(i, restrict)))
+
+    def cause_samples(self, cause: frozenset[int]) -> frozenset[int]:
+        """Samples on which `cause` is an SPR cause: members all singleton
+        causes over the full state space, plus minimality."""
+        return self._memoized(("cause", cause), lambda: frozenset(
+            i for i, a in enumerate(self.analyses)
+            if cause <= a.cause_states and satisfies_minimality(a.graph, self.initial, cause)))
+
+    def recall_samples(self, member: frozenset[int], restrict: frozenset[int]) -> frozenset[int]:
+        """Samples on which `member` is recall-optimal (`recall_optimal`)."""
+        return self._memoized(("recall", member, restrict), lambda: frozenset(
+            i for i in range(self.n) if recall_optimal(member, self, i, restrict)))
 
 
 def cause_sample_count(cause: Iterable[int], batch: AnalysisBatch) -> int:
-    """Samples on which `cause` is an SPR cause (members all singleton causes
-    over the full state space, plus minimality); duplicates count separately."""
+    """Samples on which `cause` is an SPR cause; duplicates count separately."""
     cause = frozenset(cause)
     if cause & batch.effect:
         raise ValueError("cause states must avoid the effect set")
-    count = 0
-    for a in batch.analyses:
-        if cause <= a.cause_states and satisfies_minimality(a.graph, batch.initial, cause):
-            count += 1
-    return count
+    return len(batch.cause_samples(cause))
 
 
 def cause_probability_bound(cause: Iterable[int], batch: AnalysisBatch, confidence: float) -> float:
@@ -143,12 +162,8 @@ def recall_sample_count(
     as covered.
     """
     restrict = frozenset(candidate_states)
-    members = [frozenset(c) for c in collection]
-    return sum(
-        1 for i in range(batch.n)
-        if not batch.canonical(i, restrict)
-        or any(recall_optimal(m, batch, i, restrict) for m in members)
-    )
+    return len(batch.empty_canonical_samples(restrict).union(
+        *(batch.recall_samples(frozenset(c), restrict) for c in collection)))
 
 
 def recall_probability_bound(

@@ -20,12 +20,12 @@ import numpy as np
 from . import fixtures
 from .bounds import cause_sample_count, tail_root
 from .exact import from_concrete
-from .gridworld import builtin_dist_json, builtin_env, generate, spec_from_json
+from .gridworld import builtin_env, generate, spec_from_json
 from .model import ModelError, instantiate, load_model, model_to_json, support_graph
 from .sampling import DistError, load_dist
 from .solver import DEFAULT_STATE_CAP, SolveConfig, solve
 from .sprcheck import satisfies_minimality, single_state_verdict_exact, singleton_causes
-from .validate import fresh_analyses, mean_point_baseline, recall_gap, vertex_baseline
+from .validate import Estimate, fresh_analyses, mean_point_baseline, recall_gap, vertex_baseline
 
 click.UsageError.exit_code = 1
 
@@ -41,11 +41,11 @@ def _load_model(ref: str):
         raise click.UsageError(f"model {ref!r}: {e}")
 
 
-def _load_dist(ref: str, params=None):
+def _load_dist(ref: str):
     if ref in fixtures.builtin_dist_names():
         return fixtures.builtin_dist(ref)
     try:
-        return load_dist(ref, params)
+        return load_dist(ref)
     except FileNotFoundError:
         raise click.UsageError(f"distribution {ref!r}: no such file or builtin name")
     except DistError as e:
@@ -78,7 +78,8 @@ def main():
 @click.option("--delta", type=float, default=0.0, show_default=True)
 @click.option("--beta", type=float, default=0.99, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--workers", type=int, default=None, help="parallel sample analysis (default: usable CPUs, at most 8)")
+@click.option("--workers", type=click.IntRange(min=1), default=None,
+              help="parallel sample analysis (default: usable CPUs, at most 8)")
 @click.option("--out", default=None, help="write the solution JSON here (default: stdout)")
 @click.option("--exact", is_flag=True,
               help="re-decide corner verdicts with exact arithmetic (models of at most "
@@ -158,7 +159,7 @@ def check(model_ref, point_str, exact, cause_states):
 @click.option("-M", "n_samples", type=int, default=1000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", default=None)
-@click.option("--repeat", type=int, default=1, show_default=True,
+@click.option("--repeat", type=click.IntRange(min=1), default=1, show_default=True,
               help="with k>1, emit (N, quantity, mean, sd) rows over k seeded estimates")
 def validate(model_ref, dist_ref, solution_path, n_samples, seed, out, repeat):
     """Monte-Carlo estimates of the cause and recall probabilities of a solution."""
@@ -193,10 +194,10 @@ def validate(model_ref, dist_ref, solution_path, n_samples, seed, out, repeat):
 
 
 def _emit_validation(writer, quantities, doc, n_samples, seed, repeat):
-    if repeat <= 1:
+    if repeat == 1:
         writer.writerow(["quantity", "estimate", "M", "half_width", "seed"])
         for name, value in quantities(seed):
-            hw = 3.0 * float(np.sqrt(max(value * (1 - value), 0.0) / n_samples))
+            hw = Estimate(value, n_samples, seed).half_width
             writer.writerow([name, f"{value:.6f}", n_samples, f"{hw:.6f}", seed])
     else:
         runs = [quantities(seed + r) for r in range(repeat)]
@@ -247,7 +248,7 @@ def gridworld_gen(which, spec_path, out):
 @click.option("--out", default=None)
 def gridworld_dist(out):
     """Emit the experiment distribution for the builtin environments."""
-    _write(out, builtin_dist_json() + "\n")
+    _write(out, fixtures.builtin_dist_text("grid"))
 
 
 @main.group()

@@ -66,7 +66,6 @@ class RationalMDP:
             actions=tuple(actions) if actions else tuple(f"a{i}" for i in range(m)),
             initial=self.initial,
             effect=frozenset(effect),
-            point=(),
             trans=trans,
             enabled=enabled,
         )

@@ -230,15 +230,6 @@ def builtin_env(which: str) -> GridSpec:
     )
 
 
-def builtin_dist_json() -> str:
-    """The experiment distribution: uniforms over the three parameter intervals."""
-    return (
-        '{"p0": {"uniform": [0.85, 0.9]}, '
-        '"p1": {"uniform": [0.45, 0.6]}, '
-        '"p2": {"uniform": [0.5, 0.7]}}'
-    )
-
-
 def spec_from_json(doc: dict) -> GridSpec:
     """GridSpec from its JSON mirror (lists for cells, maps keyed by "x,y")."""
     def cell(v) -> Cell:

@@ -68,7 +68,6 @@ class ConcreteModel:
     actions: tuple[str, ...]
     initial: int
     effect: frozenset[int]
-    point: tuple[float, ...]
     trans: np.ndarray  # (S, A, S), zero rows where disabled
     enabled: np.ndarray  # (S, A) bool
 
@@ -227,7 +226,6 @@ def instantiate(model: ParametricModel, point: Sequence[float]) -> ConcreteModel
         actions=model.actions,
         initial=model.initial,
         effect=model.effect,
-        point=tuple(float(x) for x in point),
         trans=trans,
         enabled=enabled,
     )

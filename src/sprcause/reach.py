@@ -23,6 +23,9 @@ one parametric model usually share their support (every sample of the
 builtin models does), so the base model and each pivot's modified model
 (one entry per class of w_c: 0, 1 or in between) compute their masks once.  The cached arrays are read-only, and the cache
 is cleared when it reaches MASK_CACHE_MAX entries.
+
+`reachable_avoiding` also searches from several start states at once, so
+`exists_path_via` takes two searches and `sprcheck.cause_front` one.
 """
 
 from __future__ import annotations
@@ -212,15 +215,19 @@ def min_reach(
     return _value_iteration(model, set(target), "min", trace)
 
 
-def reachable_avoiding(graph: Graph, start: int, avoid: Iterable[int]) -> frozenset[int]:
+def reachable_avoiding(
+    graph: Graph, start: int | Iterable[int], avoid: Iterable[int]
+) -> frozenset[int]:
     """States s with a path start .. s whose strict prefix avoids `avoid`.
 
     Until semantics: the start itself is always reported (empty prefix), and
     states inside `avoid` are reported when first reached but never expanded.
+    `start` may also be a set of states: one search from all of them gives
+    the union of their single-start answers.
     """
     avoid = set(avoid)
-    seen = {start}
-    stack = [] if start in avoid else [start]
+    seen = set(start) if isinstance(start, Iterable) else {start}
+    stack = [s for s in seen if s not in avoid]
     while stack:
         s = stack.pop()
         for t in graph.succ[s]:
@@ -241,9 +248,5 @@ def exists_path_via(
     """Is there a path from start that hits `via` and then `target`, never
     touching `avoid`?"""
     avoid = set(avoid)
-    targets = set(target) - avoid
-    first_leg = reachable_avoiding(graph, start, avoid)
-    for v in set(via) - avoid:
-        if v in first_leg and reachable_avoiding(graph, v, avoid) & targets:
-            return True
-    return False
+    hubs = reachable_avoiding(graph, start, avoid) & (set(via) - avoid)
+    return bool(reachable_avoiding(graph, hubs, avoid) & (set(target) - avoid))

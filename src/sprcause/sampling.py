@@ -41,10 +41,6 @@ class Marginal:
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    @property
-    def degenerate(self) -> bool:
-        return self.kind == "point" or self.lo == self.hi
-
 
 @dataclass(frozen=True)
 class DistSpec:
@@ -96,7 +92,7 @@ def _marginal_from_json(doc) -> Marginal:
     return Marginal(kind, lo, hi)
 
 
-def parse_dist(document: str, params: tuple[str, ...] | None = None) -> DistSpec:
+def parse_dist(document: str) -> DistSpec:
     """Parse the JSON distribution format.
 
     Full form: {"mixture": [{"weight": w, "marginals": {name: marginal}}, ...]}.
@@ -123,7 +119,7 @@ def parse_dist(document: str, params: tuple[str, ...] | None = None) -> DistSpec
 
     if not isinstance(entries, list) or not entries:
         raise DistError(f"mixture must be a nonempty list, got {entries!r}")
-    names = params
+    names = None
     weights = []
     components = []
     for entry in entries:
@@ -144,9 +140,9 @@ def parse_dist(document: str, params: tuple[str, ...] | None = None) -> DistSpec
     return DistSpec(params=tuple(names), weights=tuple(weights), components=tuple(components))
 
 
-def load_dist(path, params: tuple[str, ...] | None = None) -> DistSpec:
+def load_dist(path) -> DistSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_dist(fh.read(), params)
+        return parse_dist(fh.read())
 
 
 def align_dist(dist: DistSpec, names: tuple[str, ...]) -> DistSpec:

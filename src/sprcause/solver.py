@@ -24,7 +24,6 @@ from .bounds import (
     SampleAnalysis,
     cause_probability_bound,
     cause_sample_count,
-    recall_optimal,
     recall_sample_count,
     tail_root,
 )
@@ -55,13 +54,11 @@ class CauseSolution:
     m_count: int
     candidate_states: tuple[str, ...]  # S_N, sorted by state name
     indices: tuple[int, ...]  # selected sample indices (0-based)
-    cover_sizes: tuple[int, ...]
     delta: float
     beta: float
     n_samples: int
     seed: int
     empty_canonical_samples: int
-    excluded_members: tuple[frozenset[str], ...] = ()
     canonical_causes: tuple[tuple[str, ...], ...] | None = None  # verbose payload
 
     @property
@@ -167,11 +164,8 @@ def cover_of(
     always included; a sample's own canonical cause covers that sample
     (self-coverage).
     """
-    return frozenset(
-        j for j in range(batch.n)
-        if not batch.canonical(j, candidate_states)
-        or recall_optimal(member, batch, j, candidate_states)
-    )
+    return (batch.empty_canonical_samples(candidate_states)
+            | batch.recall_samples(member, candidate_states))
 
 
 def select_indices(cover_sets: dict[int, frozenset[int]], universe: frozenset[int]) -> list[int]:
@@ -242,7 +236,6 @@ def solve_from_analyses(
 ) -> CauseSolution:
     s_n = filter_states(analyses, delta, beta, geq=config.geq_filter)
     canonicals = [analyses.canonical(i, s_n) for i in range(analyses.n)]
-    empty_count = sum(1 for c in canonicals if not c)
     universe = frozenset(range(analyses.n))
 
     # distinct nonempty canonical causes; the cover set depends only on the set
@@ -259,49 +252,40 @@ def solve_from_analyses(
 
     # a member whose own bound misses delta cannot sit in the candidate
     # family; drop it and report the honest (possibly lower) zeta
-    kept, excluded = [], []
+    eta = {i: cause_probability_bound(canonicals[i], analyses, beta) for i in chosen}
+    kept = []
     for i in chosen:
-        member = canonicals[i]
-        bound = cause_probability_bound(member, analyses, beta)
-        clears = bound >= delta if config.geq_filter else bound > delta
-        (kept if clears else excluded).append(i)
-    for i in excluded:
-        log.warning(
-            "dropping member %s: eta below the delta filter",
-            sorted(pmodel.states[s] for s in canonicals[i]),
-        )
-    chosen = kept
+        if eta[i] >= delta if config.geq_filter else eta[i] > delta:
+            kept.append(i)
+        else:
+            log.warning(
+                "dropping member %s: eta below the delta filter",
+                sorted(pmodel.states[s] for s in canonicals[i]),
+            )
+
+    for i in kept:
+        rest = frozenset().union(*(covers[j] for j in kept if j != i))
+        assert not covers[i] <= rest, "redundant member survived pruning"
+
+    chosen = sorted(kept, key=lambda i: sorted(pmodel.states[s] for s in canonicals[i]))
     member_sets = [canonicals[i] for i in chosen]
-
-    for i in chosen:
-        rest = [covers[j] for j in chosen if j != i]
-        union_rest = frozenset().union(*rest) if rest else frozenset()
-        assert not covers[i] <= union_rest, "redundant member survived pruning"
-
-    order = sorted(
-        range(len(member_sets)), key=lambda k: sorted(pmodel.states[s] for s in member_sets[k])
-    )
-    member_sets = [member_sets[k] for k in order]
-    chosen = [chosen[k] for k in order]
     m_count = recall_sample_count(member_sets, s_n, analyses)
     zeta = tail_root(analyses.n - m_count, analyses.n, beta)
 
     names = pmodel.states
     return CauseSolution(
         members=tuple(frozenset(names[s] for s in m) for m in member_sets),
-        eta=tuple(cause_probability_bound(m, analyses, beta) for m in member_sets),
+        eta=tuple(eta[i] for i in chosen),
         n_counts=tuple(cause_sample_count(m, analyses) for m in member_sets),
         zeta=zeta,
         m_count=m_count,
         candidate_states=tuple(sorted(names[s] for s in s_n)),
         indices=tuple(sorted(chosen)),
-        cover_sizes=tuple(len(covers[i]) for i in sorted(chosen)),
         delta=delta,
         beta=beta,
         n_samples=analyses.n,
         seed=seed,
-        empty_canonical_samples=empty_count,
-        excluded_members=tuple(frozenset(names[s] for s in canonicals[i]) for i in excluded),
+        empty_canonical_samples=len(analyses.empty_canonical_samples(s_n)),
         canonical_causes=(
             tuple(tuple(sorted(names[s] for s in c)) for c in canonicals) if verbose else None
         ),

@@ -12,7 +12,10 @@ reachability check inside the sub-model of value-optimal actions
 
 Set-level cause-hood reduces to the singleton verdicts plus the
 minimality condition (M): every member must be reachable without first
-crossing the other members.
+crossing the other members.  Cut at its first visit to c, a path to c
+that avoids the other members avoids all of C, so one search finds every
+such c: `cause_front(C)` is C & reachable_avoiding(initial, C), and (M)
+holds iff the front is all of C.
 
 `singleton_cause_set`, `canonical_cause` and `is_spr_cause` analyse one
 concrete model outside `solver.analyze_batch`; they stay because the
@@ -85,7 +88,6 @@ def build_modified(
         actions=model.actions + ("gamma",),
         initial=model.initial,
         effect=model.effect,
-        point=model.point,
         trans=trans,
         enabled=enabled,
     )
@@ -158,8 +160,8 @@ def singleton_cause_set(
 
 def satisfies_minimality(graph: Graph, initial: int, cause: Iterable[int]) -> bool:
     """Condition (M): each member reachable while avoiding the others."""
-    cause = set(cause)
-    return all(c in reachable_avoiding(graph, initial, cause - {c}) for c in cause)
+    cause = frozenset(cause)
+    return cause_front(cause, graph, initial) == cause
 
 
 def is_spr_cause(model: ConcreteModel, cause: Iterable[int]) -> bool:
@@ -177,10 +179,8 @@ def is_spr_cause(model: ConcreteModel, cause: Iterable[int]) -> bool:
 
 def cause_front(causes: Iterable[int], graph: Graph, initial: int) -> frozenset[int]:
     """Members reachable without first crossing another member."""
-    causes = set(causes)
-    return frozenset(
-        c for c in causes if c in reachable_avoiding(graph, initial, causes - {c})
-    )
+    causes = frozenset(causes)
+    return causes & reachable_avoiding(graph, initial, causes)
 
 
 def canonical_cause(

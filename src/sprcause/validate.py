@@ -3,10 +3,10 @@ NA1/NA2 single-point baselines.
 
 One analysis per fresh point, queried for every quantity: `fresh_analyses`
 draws the batch and runs `identify`'s own per-sample analysis once on each
-point, and every estimate (F per member, R, R of each proper subset) is a
-count over that one batch through the predicates the bounds use.  The
-points are fresh and the estimates plain fractions, so they serve as
-oracles against the PAC bounds.
+point, and every estimate (F per member, R, R of each proper subset) is the
+size of a union of that batch's memoized sample sets, the ones the bounds
+count.  The points are fresh and the estimates plain fractions, so they
+serve as oracles against the PAC bounds.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bounds import AnalysisBatch, cause_sample_count, recall_optimal
+from .bounds import AnalysisBatch, cause_sample_count
 from .model import ParametricModel, instantiate
 from .sampling import DistSpec, align_dist, mean_point, sample, support_vertices
 from .solver import analyze_batch
@@ -49,22 +49,13 @@ def fresh_analyses(
     return analyze_batch(pmodel, sample(dist, n_samples, seed))
 
 
-def _recall_masks(
-    members: list[frozenset[int]], candidate_states: Iterable[int], analyses: AnalysisBatch
-) -> list[int]:
-    """Per sample, the bitmask of the members that are recall-optimal there."""
-    restrict = frozenset(candidate_states)
-    return [
-        sum(1 << k for k, m in enumerate(members) if recall_optimal(m, analyses, i, restrict))
-        for i in range(analyses.n)
-    ]
-
-
-def _recall_estimate(masks: list[int], want: int, seed: int) -> Estimate:
-    """Fraction of samples on which a member selected by `want` is recall-optimal."""
+def _recall_fraction(
+    members: Iterable[frozenset[int]], restrict: frozenset[int], analyses: AnalysisBatch, seed: int
+) -> Estimate:
+    """Fraction of samples on which some member is recall-optimal."""
     # unlike zeta's count, an empty canonical cause counts only if a member hits
-    hits = sum(1 for mask in masks if mask & want)
-    return Estimate(hits / len(masks), len(masks), seed)
+    hits = frozenset().union(*(analyses.recall_samples(m, restrict) for m in members))
+    return Estimate(len(hits) / analyses.n, analyses.n, seed)
 
 
 def estimate_cause_probability(
@@ -97,8 +88,7 @@ def estimate_recall_probability(
     """
     members = [frozenset(c) for c in collection]
     analyses = fresh_analyses(pmodel, dist, n_samples, seed)
-    masks = _recall_masks(members, candidate_states, analyses)
-    return _recall_estimate(masks, (1 << len(members)) - 1, seed)
+    return _recall_fraction(members, frozenset(candidate_states), analyses, seed)
 
 
 @dataclass(frozen=True)
@@ -124,15 +114,13 @@ def recall_gap(
     """R of the whole collection and of every proper subset, from one batch."""
     if len(members) > SUBSET_CAP:
         raise CapExceededError(f"{len(members)} members exceeds the subset cap {SUBSET_CAP}")
-    masks = _recall_masks(members, candidate_states, analyses)
-    k = len(members)
+    restrict = frozenset(candidate_states)
     subsets = tuple(
-        (tuple(members[j] for j in combo),
-         _recall_estimate(masks, sum(1 << j for j in combo), seed))
-        for r in range(k)
-        for combo in itertools.combinations(range(k), r)
+        (combo, _recall_fraction(combo, restrict, analyses, seed))
+        for r in range(len(members))
+        for combo in itertools.combinations(members, r)
     )
-    return SubsetGap(full=_recall_estimate(masks, (1 << k) - 1, seed), subsets=subsets)
+    return SubsetGap(full=_recall_fraction(members, restrict, analyses, seed), subsets=subsets)
 
 
 def subset_recall_gap(

@@ -2,10 +2,12 @@
 
 Each oracle deliberately avoids the code path it checks: the tail-bound
 oracle works on integers, the probability oracles integrate the density,
-the cover oracle enumerates simple paths, and the exact-solver oracles
-work on Fractions where the exact back end works on integers.  The restricted estimators
-re-analyse every point per quantity, with the analysis restricted to the
-states the quantity asks about, instead of querying one shared batch.
+the cover oracle enumerates simple paths, the graph-predicate oracles
+run one search per member where the package runs one in all, and the
+exact-solver oracles work on Fractions where the exact back end works on
+integers.  The restricted estimators re-analyse every point per quantity,
+with the analysis restricted to the states the quantity asks about,
+instead of querying one shared batch.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from scipy import integrate
 
 from sprcause.exact import RationalMDP
 from sprcause.model import instantiate, support_graph
+from sprcause.reach import reachable_avoiding
 from sprcause.sampling import sample
 from sprcause.sprcheck import (
     cause_front,
@@ -188,6 +191,34 @@ def random_rational_mdp(
             )
         rows.append(tuple(per_action))
     return RationalMDP(n_states=n, rows=tuple(rows), initial=0), effect
+
+
+def cause_front_per_member(causes, graph, initial) -> frozenset[int]:
+    """One search per member: members reachable while avoiding the others.
+    The reference for the one-search `sprcheck.cause_front`."""
+    causes = set(causes)
+    return frozenset(
+        c for c in causes if c in reachable_avoiding(graph, initial, causes - {c})
+    )
+
+
+def minimality_per_member(graph, initial, cause) -> bool:
+    """Condition (M) with one search per member; the reference for
+    `sprcheck.satisfies_minimality`."""
+    cause = set(cause)
+    return all(c in reachable_avoiding(graph, initial, cause - {c}) for c in cause)
+
+
+def exists_path_via_per_via(graph, start, via, target, avoid) -> bool:
+    """One second-leg search per reachable `via` state; the reference for
+    the two-search `reach.exists_path_via`."""
+    avoid = set(avoid)
+    targets = set(target) - avoid
+    first_leg = reachable_avoiding(graph, start, avoid)
+    return any(
+        v in first_leg and bool(reachable_avoiding(graph, v, avoid) & targets)
+        for v in set(via) - avoid
+    )
 
 
 def recall_optimal_reference(analysis, initial, effect, member, canonical, restrict) -> bool:

@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from sprcause import fixtures
 from sprcause.cli import main
+from sprcause.sampling import parse_dist
 
 
 @pytest.fixture
@@ -175,6 +176,22 @@ def test_malformed_input_file_is_a_usage_error(runner, tmp_path, flag, doc, mess
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "--model", "example", "--dist", "example", "--solution", "SOLUTION",
+     "-M", "5", "--repeat", "0"],
+    ["validate", "--model", "example", "--dist", "example", "--solution", "SOLUTION",
+     "-M", "5", "--repeat", "-2"],
+    ["identify", "--model", "example", "--dist", "example", "-N", "5", "--workers", "0"],
+], ids=["repeat-zero", "repeat-negative", "workers-zero"])
+def test_out_of_range_counts_are_usage_errors(runner, tmp_path, argv):
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"members": [["s3"]], "S_N": ["s3"], "N": 5}))
+    result = runner.invoke(main, [str(sol) if a == "SOLUTION" else a for a in argv])
+    assert result.exit_code == 1
+    assert f"{argv[-1]} is not in the range x>=1" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_validate_csv_deterministic(runner, tmp_path):
     sol = tmp_path / "sol.json"
     runner.invoke(main, [
@@ -259,3 +276,13 @@ def test_gridworld_gen_and_baselines(runner, tmp_path):
     lines = result.output.strip().splitlines()
     assert '["c4_6"]' in lines
     assert any("c7_8" in line for line in lines)
+
+
+def test_gridworld_dist_prints_the_shipped_grid_distribution(runner):
+    result = runner.invoke(main, ["gridworld", "dist"])
+    assert result.exit_code == 0
+    assert result.output == (
+        '{"p0": {"uniform": [0.85, 0.9]}, "p1": {"uniform": [0.45, 0.6]}, '
+        '"p2": {"uniform": [0.5, 0.7]}}\n'
+    )
+    assert parse_dist(result.output) == fixtures.builtin_dist("grid")

@@ -2,11 +2,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import random_rational_mdp
+from oracles import (
+    cause_front_per_member,
+    exists_path_via_per_via,
+    minimality_per_member,
+    random_rational_mdp,
+)
 from sprcause import fixtures, reach
 from sprcause.exact import exact_reach
-from sprcause.model import instantiate, parse_model, support_graph
+from sprcause.model import Graph, instantiate, parse_model, support_graph
 from sprcause.reach import (
     KAPPA_ACT,
     _pinning_masks,
@@ -20,7 +26,7 @@ from sprcause.reach import (
     reachable_avoiding,
 )
 from sprcause.sampling import align_dist, sample
-from sprcause.sprcheck import build_modified, singleton_causes
+from sprcause.sprcheck import build_modified, cause_front, satisfies_minimality, singleton_causes
 
 CHAIN = parse_model(json.dumps({
     "states": ["s0", "e"],
@@ -140,6 +146,39 @@ def test_exists_path_via_example_false_case(example_model):
     g = support_graph(c)
     s2, s3 = c.state_index("s2"), c.state_index("s3")
     assert not exists_path_via(g, c.initial, via=[s2, s3], target=c.effect, avoid=[s3])
+
+
+# --- one search per graph predicate, against the per-member definitions ----
+
+@st.composite
+def _digraph_and_sets(draw):
+    n = draw(st.integers(1, 8))
+    state = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(state, state), max_size=2 * n))
+    graph = Graph(n=n, succ=tuple(frozenset(t for s, t in edges if s == u) for u in range(n)))
+    return graph, draw(state), [draw(st.frozensets(state)) for _ in range(4)]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_digraph_and_sets())
+def test_one_search_predicates_match_their_per_member_definitions(case):
+    graph, start, (members, via, target, avoid) = case
+    assert cause_front(members, graph, start) == cause_front_per_member(members, graph, start)
+    assert satisfies_minimality(graph, start, members) == minimality_per_member(
+        graph, start, members)
+    assert exists_path_via(graph, start, via, target, avoid) == exists_path_via_per_via(
+        graph, start, via, target, avoid)
+    union = frozenset().union(*(reachable_avoiding(graph, s, avoid) for s in members))
+    assert reachable_avoiding(graph, members, avoid) == union
+
+
+def test_exists_path_via_searches_on_from_the_via_states():
+    # 0 -> 1 and 0 -> 2: the effect state 2 is reachable, but not after 1
+    fork = Graph(n=3, succ=(frozenset({1, 2}), frozenset(), frozenset()))
+    assert not exists_path_via(fork, 0, via=[1], target=[2], avoid=[])
+    joined = Graph(n=3, succ=(frozenset({1, 2}), frozenset({2}), frozenset()))
+    assert exists_path_via(joined, 0, via=[1], target=[2], avoid=[])
+    assert not exists_path_via(joined, 0, via=[1], target=[2], avoid=[0])
 
 
 # --- pinning-mask cache and optimal actions --------------------------------

@@ -105,7 +105,8 @@ def test_weight_validation():
 
 def test_component_coverage_validation():
     bad = {"mixture": [
-        {"weight": 1.0, "marginals": {"p": {"point": 0.1}}},
+        {"weight": 0.5, "marginals": {"p": {"point": 0.1}}},
+        {"weight": 0.5, "marginals": {"q": {"point": 0.1}}},
     ]}
-    with pytest.raises(DistError):
-        parse_dist(json.dumps(bad), params=("p", "q"))
+    with pytest.raises(DistError, match="covers"):
+        parse_dist(json.dumps(bad))

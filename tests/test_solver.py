@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import path_cover_holds, recall_optimal_reference
-from sprcause import fixtures, solver
+from sprcause import bounds, fixtures, solver
 from sprcause.bounds import recall_sample_count
 from sprcause.exact import from_concrete
 from sprcause.model import instantiate
@@ -139,6 +139,26 @@ def test_recall_predicate_matches_the_inline_reference(name, dist_name, n):
             if not canonicals[j] or any(reference(m, j) for m in collection)
         )
         assert recall_sample_count(collection, s_n, analyses) == want
+
+
+# one evaluation per (distinct canonical cause, sample); both runs have 3 causes
+@pytest.mark.parametrize("name, dist_name, n, delta, evaluations", [
+    ("example", "example", 1000, 0.0, 3000),
+    ("grid-a", "grid", 100, 0.001, 300),
+])
+def test_solve_evaluates_recall_optimal_once_per_member_and_sample(
+    name, dist_name, n, delta, evaluations, monkeypatch
+):
+    calls = []
+    original = bounds.recall_optimal
+
+    def spy(member, batch, index, restrict):
+        calls.append((member, index))
+        return original(member, batch, index, restrict)
+
+    monkeypatch.setattr(bounds, "recall_optimal", spy)
+    solve(fixtures.builtin_model(name), fixtures.builtin_dist(dist_name), n, delta, 0.99, seed=0)
+    assert len(calls) == len(set(calls)) == evaluations
 
 
 def test_exact_over_the_state_cap_warns_once(grid_model_a, grid_dist, caplog):
