@@ -178,7 +178,7 @@ def validate(model_ref, dist_ref, solution_path, n_samples, seed, out, repeat):
             (f"F{sorted(pmodel.states[s] for s in m)}", cause_sample_count(m, analyses) / n_samples)
             for m in members
         ]
-        gap = recall_gap(members, candidates, analyses, run_seed)
+        gap = recall_gap(members, candidates, analyses)
         rows.append(("R", gap.full.value))
         rows.append(("R_sub_max", gap.max_subset_value))
         rows.append(("R_gap", gap.gap))
@@ -197,7 +197,7 @@ def _emit_validation(writer, quantities, doc, n_samples, seed, repeat):
     if repeat == 1:
         writer.writerow(["quantity", "estimate", "M", "half_width", "seed"])
         for name, value in quantities(seed):
-            hw = Estimate(value, n_samples, seed).half_width
+            hw = Estimate(value, n_samples).half_width
             writer.writerow([name, f"{value:.6f}", n_samples, f"{hw:.6f}", seed])
     else:
         runs = [quantities(seed + r) for r in range(repeat)]

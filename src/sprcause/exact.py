@@ -29,8 +29,6 @@ from itertools import product
 from math import lcm
 from typing import Iterable
 
-import numpy as np
-
 from .expr import evaluate
 from .model import ConcreteModel, ModelError
 
@@ -48,27 +46,6 @@ class RationalMDP:
 
     def enabled(self, s: int) -> list[int]:
         return [a for a, row in enumerate(self.rows[s]) if row is not None]
-
-    def to_concrete(self, states=None, actions=None, effect=()) -> ConcreteModel:
-        """Float twin of this model (for float-vs-exact comparisons)."""
-        n, m = self.n_states, self.n_actions
-        trans = np.zeros((n, m, n))
-        enabled = np.zeros((n, m), dtype=bool)
-        for s in range(n):
-            for a, row in enumerate(self.rows[s]):
-                if row is None:
-                    continue
-                enabled[s, a] = True
-                for t, p in row.items():
-                    trans[s, a, t] = float(p)
-        return ConcreteModel(
-            states=tuple(states) if states else tuple(f"s{i}" for i in range(n)),
-            actions=tuple(actions) if actions else tuple(f"a{i}" for i in range(m)),
-            initial=self.initial,
-            effect=frozenset(effect),
-            trans=trans,
-            enabled=enabled,
-        )
 
 
 def from_parametric(pmodel, point: Iterable[Fraction]) -> RationalMDP:

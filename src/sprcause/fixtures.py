@@ -45,11 +45,5 @@ def builtin_dist(name: str) -> DistSpec:
     return parse_dist(_read(_DIST_FILES[name]))
 
 
-def builtin_model_text(name: str) -> str:
-    if name in ("grid-a", "grid-b"):
-        raise KeyError("grid models are generated; use `sprcause gridworld gen`")
-    return _read(_MODEL_FILES[name])
-
-
 def builtin_dist_text(name: str) -> str:
     return _read(_DIST_FILES[name])

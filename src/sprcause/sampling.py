@@ -68,7 +68,6 @@ class DistSpec:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    seed: int
     points: np.ndarray  # (N, dimension)
 
     def __post_init__(self):
@@ -185,7 +184,7 @@ def sample(dist: DistSpec, n: int, seed: int) -> SampleBatch:
     if n < 1:
         raise ValueError("need at least one sample")
     points = np.stack([_draw_one(dist, seed, i) for i in range(n)])
-    return SampleBatch(seed=seed, points=points)
+    return SampleBatch(points=points)
 
 
 def mean_point(dist: DistSpec) -> np.ndarray:

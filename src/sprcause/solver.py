@@ -123,7 +123,7 @@ def analyze_batch(
     if config.workers > 1 and len(distinct) > 1:
         chunks = np.array_split(np.arange(len(distinct)), min(config.workers, len(distinct)))
         jobs = [(pmodel, [distinct[i] for i in chunk], config) for chunk in chunks]
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             results = list(pool.map(_analyze_chunk, jobs))
         flat = [a for part in results for a in part]
     else:

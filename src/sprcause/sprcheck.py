@@ -16,10 +16,6 @@ crossing the other members.  Cut at its first visit to c, a path to c
 that avoids the other members avoids all of C, so one search finds every
 such c: `cause_front(C)` is C & reachable_avoiding(initial, C), and (M)
 holds iff the front is all of C.
-
-`singleton_cause_set`, `canonical_cause` and `is_spr_cause` analyse one
-concrete model outside `solver.analyze_batch`; they stay because the
-NA1/NA2 baselines and the reference oracles in tests/oracles.py use them.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from . import exact as exact_mod
-from .model import ConcreteModel, Graph, support_graph
+from .model import ConcreteModel, Graph
 from .reach import max_reach, min_reach, reachable_avoiding, exists_path_via
 
 KAPPA = 1e-7
@@ -150,45 +146,16 @@ def singleton_causes(
     return out
 
 
-def singleton_cause_set(
-    model: ConcreteModel, restrict: Iterable[int] | None = None
-) -> frozenset[int]:
-    """States whose singletons are SPR causes, intersected with `restrict`."""
-    verdicts = singleton_causes(model, restrict)
-    return frozenset(c for c, v in verdicts.items() if v.sign == 1)
-
-
 def satisfies_minimality(graph: Graph, initial: int, cause: Iterable[int]) -> bool:
     """Condition (M): each member reachable while avoiding the others."""
     cause = frozenset(cause)
     return cause_front(cause, graph, initial) == cause
 
 
-def is_spr_cause(model: ConcreteModel, cause: Iterable[int]) -> bool:
-    """Set-level check: every member a singleton cause, plus condition (M)."""
-    cause = set(cause)
-    if not cause:
-        raise ValueError("the empty set is not a cause candidate")
-    if cause & model.effect:
-        raise ValueError("cause states must avoid the effect set")
-    members = singleton_cause_set(model, cause)
-    if members != frozenset(cause):
-        return False
-    return satisfies_minimality(support_graph(model), model.initial, cause)
-
-
 def cause_front(causes: Iterable[int], graph: Graph, initial: int) -> frozenset[int]:
     """Members reachable without first crossing another member."""
     causes = frozenset(causes)
     return causes & reachable_avoiding(graph, initial, causes)
-
-
-def canonical_cause(
-    model: ConcreteModel, restrict: Iterable[int] | None = None
-) -> frozenset[int]:
-    """The front of all singleton causes within the given state restriction."""
-    causes = singleton_cause_set(model, restrict)
-    return cause_front(causes, support_graph(model), model.initial)
 
 
 def recall_covers(

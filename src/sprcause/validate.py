@@ -7,6 +7,10 @@ point, and every estimate (F per member, R, R of each proper subset) is the
 size of a union of that batch's memoized sample sets, the ones the bounds
 count.  The points are fresh and the estimates plain fractions, so they
 serve as oracles against the PAC bounds.
+
+The baselines use the same batch analysis: NA1 analyses a batch of the
+mean point and NA2 one of the support-box vertices, and each reads the
+canonical cause over all states off every point of its batch.
 """
 
 from __future__ import annotations
@@ -16,11 +20,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .bounds import AnalysisBatch, cause_sample_count
-from .model import ParametricModel, instantiate
-from .sampling import DistSpec, align_dist, mean_point, sample, support_vertices
+from .model import ParametricModel
+from .sampling import DistSpec, SampleBatch, align_dist, mean_point, sample, support_vertices
 from .solver import analyze_batch
-from .sprcheck import canonical_cause
 
 SUBSET_CAP = 12
 
@@ -33,7 +38,6 @@ class CapExceededError(ValueError):
 class Estimate:
     value: float
     n_samples: int
-    seed: int
 
     @property
     def half_width(self) -> float:
@@ -50,12 +54,12 @@ def fresh_analyses(
 
 
 def _recall_fraction(
-    members: Iterable[frozenset[int]], restrict: frozenset[int], analyses: AnalysisBatch, seed: int
+    members: Iterable[frozenset[int]], restrict: frozenset[int], analyses: AnalysisBatch
 ) -> Estimate:
     """Fraction of samples on which some member is recall-optimal."""
     # unlike zeta's count, an empty canonical cause counts only if a member hits
     hits = frozenset().union(*(analyses.recall_samples(m, restrict) for m in members))
-    return Estimate(len(hits) / analyses.n, analyses.n, seed)
+    return Estimate(len(hits) / analyses.n, analyses.n)
 
 
 def estimate_cause_probability(
@@ -70,7 +74,7 @@ def estimate_cause_probability(
     if not cause:
         raise ValueError("empty cause")
     analyses = fresh_analyses(pmodel, dist, n_samples, seed)
-    return Estimate(cause_sample_count(cause, analyses) / n_samples, n_samples, seed)
+    return Estimate(cause_sample_count(cause, analyses) / n_samples, n_samples)
 
 
 def estimate_recall_probability(
@@ -88,7 +92,7 @@ def estimate_recall_probability(
     """
     members = [frozenset(c) for c in collection]
     analyses = fresh_analyses(pmodel, dist, n_samples, seed)
-    return _recall_fraction(members, frozenset(candidate_states), analyses, seed)
+    return _recall_fraction(members, frozenset(candidate_states), analyses)
 
 
 @dataclass(frozen=True)
@@ -109,18 +113,17 @@ def recall_gap(
     members: list[frozenset[int]],
     candidate_states: Iterable[int],
     analyses: AnalysisBatch,
-    seed: int,
 ) -> SubsetGap:
     """R of the whole collection and of every proper subset, from one batch."""
     if len(members) > SUBSET_CAP:
         raise CapExceededError(f"{len(members)} members exceeds the subset cap {SUBSET_CAP}")
     restrict = frozenset(candidate_states)
     subsets = tuple(
-        (combo, _recall_fraction(combo, restrict, analyses, seed))
+        (combo, _recall_fraction(combo, restrict, analyses))
         for r in range(len(members))
         for combo in itertools.combinations(members, r)
     )
-    return SubsetGap(full=_recall_fraction(members, restrict, analyses, seed), subsets=subsets)
+    return SubsetGap(full=_recall_fraction(members, restrict, analyses), subsets=subsets)
 
 
 def subset_recall_gap(
@@ -133,20 +136,23 @@ def subset_recall_gap(
 ) -> SubsetGap:
     """Recall estimates for every proper subset of the member collection."""
     analyses = fresh_analyses(pmodel, dist, n_samples, seed)
-    return recall_gap(list(members), candidate_states, analyses, seed)
+    return recall_gap(list(members), candidate_states, analyses)
+
+
+def _canonical_causes(pmodel: ParametricModel, dist: DistSpec, points_of) -> list[frozenset[int]]:
+    """Canonical causes over all states at each of `points_of(dist)`, from
+    one batch analysis."""
+    points = points_of(align_dist(dist, pmodel.param_space.names))
+    analyses = analyze_batch(pmodel, SampleBatch(points=np.array(points)))
+    every = frozenset(range(pmodel.n_states))
+    return [analyses.canonical(i, every) for i in range(analyses.n)]
 
 
 def mean_point_baseline(pmodel: ParametricModel, dist: DistSpec) -> frozenset[int]:
     """NA1: the canonical cause at the mean parameter point."""
-    dist = align_dist(dist, pmodel.param_space.names)
-    return canonical_cause(instantiate(pmodel, mean_point(dist)))
+    return _canonical_causes(pmodel, dist, lambda d: [mean_point(d)])[0]
 
 
 def vertex_baseline(pmodel: ParametricModel, dist: DistSpec) -> list[frozenset[int]]:
     """NA2: canonical causes at the support-box vertices, deduplicated."""
-    seen: list[frozenset[int]] = []
-    for vertex in support_vertices(align_dist(dist, pmodel.param_space.names)):
-        c = canonical_cause(instantiate(pmodel, vertex))
-        if c not in seen:
-            seen.append(c)
-    return seen
+    return list(dict.fromkeys(_canonical_causes(pmodel, dist, support_vertices)))

@@ -8,6 +8,13 @@ exact-solver oracles work on Fractions where the exact back end works on
 integers.  The restricted estimators re-analyse every point per quantity,
 with the analysis restricted to the states the quantity asks about,
 instead of querying one shared batch.
+
+The single-model references analyse one concrete model outside
+`solver.analyze_batch`: `singleton_cause_set`, `is_spr_cause` (singleton
+verdicts plus condition (M)) and `canonical_cause` (the front of the
+singleton causes), the references for the NA1/NA2 baselines and the
+restricted estimators.  `rational_to_concrete` is the float twin of a
+rational MDP, for float-against-exact comparisons.
 """
 
 from __future__ import annotations
@@ -18,16 +25,57 @@ import numpy as np
 from scipy import integrate
 
 from sprcause.exact import RationalMDP
-from sprcause.model import instantiate, support_graph
+from sprcause.model import ConcreteModel, instantiate, support_graph
 from sprcause.reach import reachable_avoiding
 from sprcause.sampling import sample
-from sprcause.sprcheck import (
-    cause_front,
-    is_spr_cause,
-    recall_covers,
-    satisfies_minimality,
-    singleton_cause_set,
-)
+from sprcause.sprcheck import cause_front, recall_covers, satisfies_minimality, singleton_causes
+
+
+def singleton_cause_set(model: ConcreteModel, restrict=None) -> frozenset[int]:
+    """States whose singletons are SPR causes, intersected with `restrict`."""
+    verdicts = singleton_causes(model, restrict)
+    return frozenset(c for c, v in verdicts.items() if v.sign == 1)
+
+
+def is_spr_cause(model: ConcreteModel, cause) -> bool:
+    """Set-level check: every member a singleton cause, plus condition (M)."""
+    cause = set(cause)
+    if not cause:
+        raise ValueError("the empty set is not a cause candidate")
+    if cause & model.effect:
+        raise ValueError("cause states must avoid the effect set")
+    members = singleton_cause_set(model, cause)
+    if members != frozenset(cause):
+        return False
+    return satisfies_minimality(support_graph(model), model.initial, cause)
+
+
+def canonical_cause(model: ConcreteModel, restrict=None) -> frozenset[int]:
+    """The front of all singleton causes within the given state restriction."""
+    causes = singleton_cause_set(model, restrict)
+    return cause_front(causes, support_graph(model), model.initial)
+
+
+def rational_to_concrete(mdp: RationalMDP, effect) -> ConcreteModel:
+    """Float twin of a rational MDP, states s0.. and actions a0.."""
+    n, m = mdp.n_states, mdp.n_actions
+    trans = np.zeros((n, m, n))
+    enabled = np.zeros((n, m), dtype=bool)
+    for s in range(n):
+        for a, row in enumerate(mdp.rows[s]):
+            if row is None:
+                continue
+            enabled[s, a] = True
+            for t, p in row.items():
+                trans[s, a, t] = float(p)
+    return ConcreteModel(
+        states=tuple(f"s{i}" for i in range(n)),
+        actions=tuple(f"a{i}" for i in range(m)),
+        initial=mdp.initial,
+        effect=frozenset(effect),
+        trans=trans,
+        enabled=enabled,
+    )
 
 
 def rational_tail_root(k: int, n: int, beta: Fraction, bits: int = 60) -> Fraction:
@@ -241,7 +289,7 @@ def restricted_cause_fraction(pmodel, dist, cause, n_samples: int, seed: int) ->
 def _restricted_recall_indicator(concrete, collection, candidate_states) -> bool:
     causes = singleton_cause_set(concrete, candidate_states)
     graph = support_graph(concrete)
-    canonical = cause_front(causes, graph, concrete.initial)
+    canonical = canonical_cause(concrete, candidate_states)
     return any(
         member <= causes
         and satisfies_minimality(graph, concrete.initial, member)

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from oracles import prob_first_greater, random_rational_mdp, rational_tail_root
+from oracles import (
+    prob_first_greater,
+    random_rational_mdp,
+    rational_tail_root,
+    rational_to_concrete,
+)
 from sprcause.bounds import cause_probability_bound, recall_probability_bound, tail_root
 from sprcause.cli import main as cli_main
 from sprcause.gridworld import parse_cell_name
@@ -103,7 +108,7 @@ def test_criterion_05_verdicts_match_exact_oracle():
     corner_disagreements = 0
     for _ in range(200):
         mdp, effect = random_rational_mdp(rng, max_states=8, max_actions=3)
-        concrete = mdp.to_concrete(effect=effect)
+        concrete = rational_to_concrete(mdp, effect)
         for s in range(mdp.n_states):
             if s in effect:
                 continue

@@ -278,6 +278,28 @@ def test_gridworld_gen_and_baselines(runner, tmp_path):
     assert any("c7_8" in line for line in lines)
 
 
+# stdout of `baseline na1|na2` on each builtin model with its distribution
+BASELINE_OUTPUTS = [
+    ("na1", "example", "example", '["s2", "s3"]\n'),
+    ("na2", "example", "example", '["s2", "s3"]\n["s1", "s3"]\n'),
+    ("na1", "appendix-e", "appendix-e", '["s1"]\n'),
+    ("na2", "appendix-e", "appendix-e", '["s1"]\n[]\n'),
+    ("na1", "grid-a", "grid", '["c4_6"]\n'),
+    ("na2", "grid-a", "grid", '["c4_6"]\n["c5_5", "c7_8"]\n'),
+    ("na1", "grid-b", "grid", '["c5_9"]\n'),
+    ("na2", "grid-b", "grid", '["c5_9"]\n["c6_5", "c7_8"]\n'),
+]
+
+
+@pytest.mark.parametrize("command, model, dist, stdout", BASELINE_OUTPUTS,
+                         ids=[f"{c}-{m}" for c, m, _, _ in BASELINE_OUTPUTS])
+def test_baseline_output_is_pinned(runner, command, model, dist, stdout):
+    result = runner.invoke(main, ["baseline", command, "--model", model, "--dist", dist])
+    assert result.exit_code == 0
+    assert result.stdout == stdout
+    assert result.stderr == ""
+
+
 def test_gridworld_dist_prints_the_shipped_grid_distribution(runner):
     result = runner.invoke(main, ["gridworld", "dist"])
     assert result.exit_code == 0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import canonical_cause
 from sprcause.gridworld import (
     GridError,
     GridSpec,
@@ -14,7 +15,6 @@ from sprcause.gridworld import (
 )
 from sprcause.model import instantiate
 from sprcause.sampling import sample
-from sprcause.sprcheck import canonical_cause
 
 UPPER_FORBIDDEN = {(3, 5), (5, 5), (7, 8)}
 

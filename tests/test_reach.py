@@ -9,6 +9,7 @@ from oracles import (
     exists_path_via_per_via,
     minimality_per_member,
     random_rational_mdp,
+    rational_to_concrete,
 )
 from sprcause import fixtures, reach
 from sprcause.exact import exact_reach
@@ -80,7 +81,7 @@ def test_min_equals_max_on_single_action_models():
     rng = np.random.default_rng(3)
     for _ in range(30):
         mdp, effect = random_rational_mdp(rng, max_states=6, max_actions=1)
-        c = mdp.to_concrete(effect=effect)
+        c = rational_to_concrete(mdp, effect)
         mx = max_reach(c, effect).values
         mn = min_reach(c, effect).values
         assert np.allclose(mx, mn, atol=1e-12)
@@ -90,7 +91,7 @@ def test_float_vs_exact_on_random_models():
     rng = np.random.default_rng(7)
     for _ in range(200):
         mdp, effect = random_rational_mdp(rng, max_states=8, max_actions=3)
-        c = mdp.to_concrete(effect=effect)
+        c = rational_to_concrete(mdp, effect)
         for objective, reach in (("max", max_reach), ("min", min_reach)):
             got = reach(c, effect).values
             want = exact_reach(mdp, effect, objective)

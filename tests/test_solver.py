@@ -178,7 +178,7 @@ def test_exact_within_the_state_cap_does_not_warn(example_model, example_dist, c
 def test_exact_corners_skip_the_initial_state(example_model, example_dist, monkeypatch):
     # seeded points plus (0.5, 0.5), where s1 and s2 are corners as well
     points = np.vstack([sample(example_dist, 40, seed=0).points, [[0.5, 0.5]]])
-    batch = SampleBatch(seed=0, points=points)
+    batch = SampleBatch(points=points)
     effect = set(example_model.effect)
     calls = []
 
@@ -260,6 +260,22 @@ def test_solve_is_deterministic_and_worker_independent(example_model, example_di
         config=SolveConfig(workers=2),
     )
     assert one.to_json() == two.to_json() == four.to_json()
+
+
+def test_worker_pool_starts_one_process_per_chunk(example_model, example_dist, monkeypatch):
+    # two distinct points make two chunks, so four workers would leave two idle
+    import multiprocessing.process
+
+    started = []
+    original = multiprocessing.process.BaseProcess.start
+
+    def counting(self):
+        started.append(self)
+        return original(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
+    solve(example_model, example_dist, 2, 0.0, 0.99, seed=0, config=SolveConfig(workers=4))
+    assert len(started) == 2
 
 
 def test_pc1_surrogate_zeta_is_max(example_model, example_dist):

@@ -5,7 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import random_layered_mdp, random_rational_mdp
+from oracles import (
+    canonical_cause,
+    is_spr_cause,
+    random_layered_mdp,
+    random_rational_mdp,
+    rational_to_concrete,
+    singleton_cause_set,
+)
 from sprcause import fixtures
 from sprcause.exact import exact_reach, from_concrete, from_parametric
 from sprcause.model import instantiate, parse_model, support_graph
@@ -13,14 +20,11 @@ from sprcause.sampling import align_dist, sample
 from sprcause.sprcheck import (
     BRANCH_GREATER,
     build_modified,
-    canonical_cause,
     cause_front,
-    is_spr_cause,
     recall_covers,
     satisfies_minimality,
     single_state_verdict,
     single_state_verdict_exact,
-    singleton_cause_set,
     singleton_causes,
 )
 
@@ -119,7 +123,7 @@ def test_random_models_match_exact_oracle():
     total = 0
     for _ in range(40):
         mdp, effect = random_rational_mdp(rng)
-        c = mdp.to_concrete(effect=effect)
+        c = rational_to_concrete(mdp, effect)
         for s in range(mdp.n_states):
             if s in effect:
                 continue
@@ -235,7 +239,7 @@ def test_canonical_recall_dominance_exhaustive():
         if checked >= 25:
             break
         mdp, effect = random_layered_mdp(rng, max_states=6, max_actions=2)
-        c = mdp.to_concrete(effect=effect)
+        c = rational_to_concrete(mdp, effect)
         graph = support_graph(c)
         causes = singleton_cause_set(c)
         canonical = cause_front(causes, graph, c.initial)

@@ -4,11 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import prob_first_greater, restricted_cause_fraction, restricted_recall_fraction
+from oracles import (
+    canonical_cause,
+    prob_first_greater,
+    restricted_cause_fraction,
+    restricted_recall_fraction,
+)
 from sprcause import fixtures
 from sprcause.bounds import recall_optimal
-from sprcause.model import instantiate, parse_model
-from sprcause.sampling import align_dist, parse_dist, sample
+from sprcause.model import instantiate, model_to_json, parse_model
+from sprcause.sampling import align_dist, mean_point, parse_dist, sample, support_vertices
 from sprcause.validate import (
     CapExceededError,
     fresh_analyses,
@@ -55,8 +60,6 @@ def test_recall_empty_collection_is_zero(example_model, example_dist):
 
 def test_recall_collection_from_grid_of_canonicals(example_model, example_dist):
     # canonical causes collected across the regimes cover every fresh sample
-    from sprcause.sprcheck import canonical_cause
-
     m = example_model
     collection = []
     for point in ([0.3, 0.6], [0.5, 0.3], [0.5, 0.5]):
@@ -101,12 +104,43 @@ def test_baselines_on_appendix(appendix_model, appendix_dist):
     assert frozenset() in na2  # the p < q corner has no cause
 
 
-def test_point_mass_baseline_matches_canonical(example_model):
-    from sprcause.sprcheck import canonical_cause
+# (model, its builtin distribution, a point inside that distribution's box)
+BASELINE_CASES = [
+    ("example", "example", [0.5, 0.3]),
+    ("appendix-e", "appendix-e", [0.5, 0.3]),
+    ("grid-a", "grid", [0.88, 0.5, 0.6]),
+    ("grid-b", "grid", [0.88, 0.5, 0.6]),
+]
 
-    dist = parse_dist(json.dumps({"p": {"point": 0.5}, "q": {"point": 0.3}}))
-    got = mean_point_baseline(example_model, dist)
-    assert got == canonical_cause(instantiate(example_model, [0.5, 0.3]))
+
+@pytest.mark.parametrize("name, dist_name, point", BASELINE_CASES, ids=[c[0] for c in BASELINE_CASES])
+def test_point_mass_baseline_matches_canonical(name, dist_name, point):
+    pmodel = fixtures.builtin_model(name)
+    params = pmodel.param_space.names
+    dist = parse_dist(json.dumps({p: {"point": x} for p, x in zip(params, point)}))
+    got = mean_point_baseline(pmodel, dist)
+    assert got == canonical_cause(instantiate(pmodel, point))
+    # the builtin distribution: NA1 at its mean point, NA2 at every box vertex
+    dist = align_dist(fixtures.builtin_dist(dist_name), params)
+    assert mean_point_baseline(pmodel, dist) == canonical_cause(instantiate(pmodel, mean_point(dist)))
+    at_vertices = [canonical_cause(instantiate(pmodel, v)) for v in support_vertices(dist)]
+    assert vertex_baseline(pmodel, dist) == list(dict.fromkeys(at_vertices))
+
+
+@pytest.mark.parametrize("baseline", [mean_point_baseline, vertex_baseline])
+def test_each_baseline_is_one_batch_analysis(baseline, example_model, example_dist, monkeypatch):
+    from sprcause import validate
+
+    calls = []
+    original = validate.analyze_batch
+
+    def counting(pmodel, batch, *args):
+        calls.append(batch.n)
+        return original(pmodel, batch, *args)
+
+    monkeypatch.setattr(validate, "analyze_batch", counting)
+    baseline(example_model, example_dist)
+    assert len(calls) == 1
 
 
 # --- one analysis per point, checked against per-quantity re-analysis ---
@@ -141,7 +175,7 @@ def test_estimates_equal_the_restricted_reference(case, seed):
 
 
 def test_reordered_parameters_give_the_same_answers(example_model, example_dist):
-    doc = json.loads(fixtures.builtin_model_text("example"))
+    doc = model_to_json(example_model)
     doc["params"] = ["q", "p"]
     reordered = parse_model(json.dumps(doc))
     assert vertex_baseline(reordered, example_dist) == vertex_baseline(example_model, example_dist)
