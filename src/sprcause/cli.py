@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from .exact import from_concrete
 from .gridworld import builtin_env, generate, spec_from_json
 from .model import ModelError, instantiate, load_model, model_to_json, support_graph
 from .sampling import DistError, load_dist
-from .solver import DEFAULT_STATE_CAP, SolveConfig, solve
+from .solver import DEFAULT_STATE_CAP, SolveConfig, solve, usable_cpus
 from .sprcheck import satisfies_minimality, single_state_verdict_exact, singleton_causes
 from .validate import Estimate, fresh_analyses, mean_point_baseline, recall_gap, vertex_baseline
 
@@ -59,13 +58,6 @@ def _write(out: str | None, text: str):
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _default_workers() -> int:
-    # the CPUs this process may run on (taskset, cpusets), not the machine's
-    if hasattr(os, "sched_getaffinity"):
-        return min(len(os.sched_getaffinity(0)), 8)
-    return min(os.cpu_count() or 1, 8)
-
-
 @click.group()
 def main():
     """Probability-raising cause identification for uncertain parametric MDPs."""
@@ -94,7 +86,7 @@ def identify(model_ref, dist_ref, n_samples, delta, beta, seed, workers, out, ex
     config = SolveConfig(
         geq_filter=geq_filter,
         exact_corners=exact,
-        workers=workers if workers is not None else _default_workers(),
+        workers=workers if workers is not None else min(usable_cpus(), 8),
     )
     try:
         solution = solve(pmodel, dist, n_samples, delta, beta, seed, config, verbose)
@@ -165,12 +157,7 @@ def validate(model_ref, dist_ref, solution_path, n_samples, seed, out, repeat):
     """Monte-Carlo estimates of the cause and recall probabilities of a solution."""
     pmodel = _load_model(model_ref)
     dist = _load_dist(dist_ref)
-    try:
-        doc = json.loads(Path(solution_path).read_text(encoding="utf-8"))
-        members = [frozenset(pmodel.state_index(s) for s in m) for m in doc["members"]]
-        candidates = frozenset(pmodel.state_index(s) for s in doc["S_N"])
-    except (OSError, json.JSONDecodeError, KeyError, ModelError) as e:
-        raise click.UsageError(f"solution file: {e}")
+    members, candidates, n_solution = _read_solution(solution_path, pmodel, repeat > 1)
 
     def quantities(run_seed: int) -> list[tuple[str, float]]:
         analyses = fresh_analyses(pmodel, dist, n_samples, run_seed)
@@ -187,13 +174,37 @@ def validate(model_ref, dist_ref, solution_path, n_samples, seed, out, repeat):
     buf = io.StringIO()
     writer = csv.writer(buf)
     try:
-        _emit_validation(writer, quantities, doc, n_samples, seed, repeat)
-    except ValueError as e:  # a distribution that does not fit the model, or too many members
+        _emit_validation(writer, quantities, n_solution, n_samples, seed, repeat)
+    except ValueError as e:  # a distribution that does not fit the model
         raise click.UsageError(str(e))
     _write(out, buf.getvalue())
 
 
-def _emit_validation(writer, quantities, doc, n_samples, seed, repeat):
+def _read_solution(path: str, pmodel, needs_n: bool):
+    """Members, S_N and (when `needs_n`) N of an `identify` solution file."""
+
+    def states(names):
+        if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+            raise ValueError(f"expected a list of state names, got {names!r}")
+        return frozenset(pmodel.state_index(s) for s in names)
+
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+        members = [states(m) for m in doc["members"]]
+        candidates = states(doc["S_N"])
+        n_solution = doc["N"] if needs_n else None
+        if needs_n and not isinstance(n_solution, int):
+            raise ValueError(f"N must be an integer, got {n_solution!r}")
+    except KeyError as e:
+        raise click.UsageError(f"solution file: missing key {e}")
+    except (OSError, json.JSONDecodeError, TypeError, ValueError) as e:
+        raise click.UsageError(f"solution file: {e}")
+    return members, candidates, n_solution
+
+
+def _emit_validation(writer, quantities, n_solution, n_samples, seed, repeat):
     if repeat == 1:
         writer.writerow(["quantity", "estimate", "M", "half_width", "seed"])
         for name, value in quantities(seed):
@@ -205,7 +216,7 @@ def _emit_validation(writer, quantities, doc, n_samples, seed, repeat):
         for i, (name, _) in enumerate(runs[0]):
             vals = np.array([run[i][1] for run in runs])
             writer.writerow(
-                [doc["N"], name, f"{vals.mean():.6f}", f"{vals.std(ddof=1):.6f}"]
+                [n_solution, name, f"{vals.mean():.6f}", f"{vals.std(ddof=1):.6f}"]
             )
 
 

@@ -230,22 +230,33 @@ def builtin_env(which: str) -> GridSpec:
     )
 
 
-def spec_from_json(doc: dict) -> GridSpec:
-    """GridSpec from its JSON mirror (lists for cells, maps keyed by "x,y")."""
+def spec_from_json(doc) -> GridSpec:
+    """GridSpec from its JSON mirror (lists for cells, maps keyed by "x,y").
+
+    Raises GridError naming a missing key, or quoting a malformed value."""
+    if not isinstance(doc, dict):
+        raise GridError(f"grid spec must be a JSON object, got {type(doc).__name__}")
+
     def cell(v) -> Cell:
         return (int(v[0]), int(v[1]))
 
-    return GridSpec(
-        width=int(doc["width"]),
-        height=int(doc["height"]),
-        start=cell(doc["start"]),
-        obstacles=frozenset(cell(c) for c in doc.get("obstacles", [])),
-        red=frozenset(cell(c) for c in doc["red"]),
-        risky={cell(e["cell"]): e["param"] for e in doc.get("risky", [])},
-        careful=frozenset(cell(c) for c in doc.get("careful", [])),
-        one_way={cell(e["cell"]): tuple(e["actions"]) for e in doc.get("one_way", [])},
-        slip=doc.get("slip", "p0"),
-    )
+    try:
+        fields = dict(
+            width=int(doc["width"]),
+            height=int(doc["height"]),
+            start=cell(doc["start"]),
+            obstacles=frozenset(cell(c) for c in doc.get("obstacles", [])),
+            red=frozenset(cell(c) for c in doc["red"]),
+            risky={cell(e["cell"]): e["param"] for e in doc.get("risky", [])},
+            careful=frozenset(cell(c) for c in doc.get("careful", [])),
+            one_way={cell(e["cell"]): tuple(e["actions"]) for e in doc.get("one_way", [])},
+            slip=doc.get("slip", "p0"),
+        )
+    except KeyError as e:
+        raise GridError(f"grid spec lacks key {e}") from None
+    except (TypeError, ValueError, IndexError) as e:
+        raise GridError(f"grid spec: {e}") from None
+    return GridSpec(**fields)
 
 
 def spec_to_json(spec: GridSpec) -> dict:

@@ -262,11 +262,5 @@ def model_to_json(model: ParametricModel) -> dict:
 
 def support_graph(model: ConcreteModel) -> Graph:
     """Edges with positive probability under some action."""
-    pos = model.trans > 0.0
-    succ = []
-    for s in range(model.n_states):
-        targets: set[int] = set()
-        for a in np.flatnonzero(model.enabled[s]):
-            targets.update(int(t) for t in np.flatnonzero(pos[s, a]))
-        succ.append(frozenset(targets))
-    return Graph(n=model.n_states, succ=tuple(succ))
+    succ = ((model.trans > 0.0) & model.enabled[:, :, None]).any(axis=1)
+    return Graph(n=model.n_states, succ=tuple(frozenset(np.flatnonzero(r).tolist()) for r in succ))

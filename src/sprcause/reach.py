@@ -1,28 +1,30 @@
 """Extremal reachability probabilities and qualitative path queries.
 
 Quantitative min/max reachability is computed by value iteration from
-below with graph-based precomputation pinning the exact 0 and 1 values:
+below.  Both extremal vectors are least fixed points, and iteration upward
+from 0 reaches them: a state that cannot reach the target (max), or that
+has an action whose support stays in the avoid-forever set (min), backs up
+exact +0.0 terms on every sweep and stays at 0 with residual 0.  The prob0
+sets matter only for iterates that come down from above, so none is
+computed.  The max objective pins its prob1 states at 1 (those with an
+almost-surely-reaching policy, the standard double fixpoint): a residual
+check alone can stop far below the true value when the only mass flows
+through slow cycles.  A min iteration pins only the target.
 
-* max objective: states that cannot reach the target at all get 0, states
-  with an almost-surely-reaching policy get 1 (the standard double
-  fixpoint), and the rest iterate to the least fixed point.
-* min objective: states from which some policy avoids the target forever
-  get 0 (greatest fixpoint over closed sub-systems); on the remainder the
-  Bellman-min operator has a unique fixed point, so plain iteration is
-  safe.
+The prob1 mask depends on the model only through its boolean support, so
+it is cached by it: the key is the shape, the packed positive-transition
+mask, the enabled mask and the target mask.  A hit therefore returns
+exactly the mask a fresh computation would, and the value iteration that
+follows runs the same float operations.  Samples of one parametric model
+usually share their support (every sample of the builtin models does), so
+each pivot's modified model (one entry per class of w_c: 0, 1 or in
+between) computes its mask once.  The cached arrays are read-only, and the
+cache is cleared when it reaches MASK_CACHE_MAX entries.
 
-Pinning matters: a residual check alone can stop far below the true value
-when the only mass flows through slow cycles.
-
-The pinning masks depend on the model only through its boolean support, so
-they are cached by it: the key is the objective, the shape, the packed
-positive-transition mask, the enabled mask and the target mask.  A hit
-therefore returns exactly the masks a fresh computation would, and the
-value iteration that follows runs the same float operations.  Samples of
-one parametric model usually share their support (every sample of the
-builtin models does), so the base model and each pivot's modified model
-(one entry per class of w_c: 0, 1 or in between) compute their masks once.  The cached arrays are read-only, and the cache
-is cleared when it reaches MASK_CACHE_MAX entries.
+The exact layer (`exact.exact_reach`) keeps its avoid-forever set: policy
+iteration does not climb from 0, and without that set two states that
+cycle into each other, each with an exit to the target, would stop at min
+value 1 when the true value is 0.
 
 `reachable_avoiding` also searches from several start states at once, so
 `exists_path_via` takes two searches and `sprcheck.cause_front` one.
@@ -43,7 +45,7 @@ KAPPA_ACT = 1e-7
 MAX_SWEEPS = 10**6
 MASK_CACHE_MAX = 4096
 
-_MASK_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+_MASK_CACHE: dict[tuple, np.ndarray] = {}
 
 
 class IterationLimitError(RuntimeError):
@@ -85,15 +87,6 @@ def _target_mask(n: int, target: Iterable[int]) -> np.ndarray:
     return tgt
 
 
-def _prob0_max_mask(pos: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    can = tgt.copy()
-    while True:
-        grown = can | (pos & can[None, None, :]).any(axis=(1, 2))
-        if (grown == can).all():
-            return ~can
-        can = grown
-
-
 def _prob1_max_mask(pos: np.ndarray, enabled: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     u = np.ones(tgt.shape, dtype=bool)
     while True:
@@ -112,38 +105,18 @@ def _prob1_max_mask(pos: np.ndarray, enabled: np.ndarray, tgt: np.ndarray) -> np
         u = v
 
 
-def _prob0_min_mask(pos: np.ndarray, enabled: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    # greatest fixpoint of "some enabled action keeps the support inside";
-    # terminal states avoid trivially
-    terminal = ~enabled.any(axis=1)
-    u = ~tgt
-    while True:
-        allin = ~((pos & ~u[None, None, :]).any(axis=2)) & enabled
-        keep = allin.any(axis=1) | terminal
-        grown = u & keep
-        if (grown == u).all():
-            return u
-        u = grown
-
-
-def _pinning_masks(
-    objective: str, pos: np.ndarray, enabled: np.ndarray, tgt: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(prob0, prob1) of the objective, cached by the boolean support."""
+def _prob1_max_cached(pos: np.ndarray, enabled: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """The max objective's prob1 mask, cached by the boolean support."""
     n, m = enabled.shape
-    key = (objective, n, m, np.packbits(pos).tobytes(), enabled.tobytes(), tgt.tobytes())
-    masks = _MASK_CACHE.get(key)
-    if masks is None:
-        if objective == "max":
-            masks = (_prob0_max_mask(pos, tgt), _prob1_max_mask(pos, enabled, tgt))
-        else:
-            masks = (_prob0_min_mask(pos, enabled, tgt), np.zeros(n, dtype=bool))
-        for mask in masks:
-            mask.setflags(write=False)
+    key = (n, m, np.packbits(pos).tobytes(), enabled.tobytes(), tgt.tobytes())
+    mask = _MASK_CACHE.get(key)
+    if mask is None:
+        mask = _prob1_max_mask(pos, enabled, tgt)
+        mask.setflags(write=False)
         if len(_MASK_CACHE) >= MASK_CACHE_MAX:
             _MASK_CACHE.clear()
-        _MASK_CACHE[key] = masks
-    return masks
+        _MASK_CACHE[key] = mask
+    return mask
 
 
 def _value_iteration(
@@ -154,13 +127,11 @@ def _value_iteration(
 ) -> ReachValues:
     n, m = model.n_states, len(model.actions)
     tgt = _target_mask(n, target)
-    pos = (model.trans > 0.0) & model.enabled[:, :, None]
-    p0, p1 = _pinning_masks(objective, pos, model.enabled, tgt)
-
-    pinned = p0 | p1 | tgt
-    v = np.zeros(n)
-    v[p1] = 1.0
-    v[tgt] = 1.0
+    pinned = tgt
+    if objective == "max":
+        pos = (model.trans > 0.0) & model.enabled[:, :, None]
+        pinned = _prob1_max_cached(pos, model.enabled, tgt)  # contains the target
+    v = pinned.astype(float)
 
     no_action = ~model.enabled.any(axis=1)
     flat = model.trans.reshape(n * m, n)

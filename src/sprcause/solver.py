@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -88,6 +89,13 @@ class CauseSolution:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on (taskset, cpusets), not the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _analyze_point(
     pmodel: ParametricModel, point: tuple[float, ...], config: SolveConfig
 ) -> SampleAnalysis:
@@ -120,8 +128,10 @@ def analyze_batch(
         )
     points = [tuple(float(x) for x in p) for p in batch.points]
     distinct = sorted(set(points))
-    if config.workers > 1 and len(distinct) > 1:
-        chunks = np.array_split(np.arange(len(distinct)), min(config.workers, len(distinct)))
+    # one process per chunk, never more than there are points or usable CPUs
+    n_chunks = min(config.workers, len(distinct), usable_cpus())
+    if n_chunks > 1:
+        chunks = np.array_split(np.arange(len(distinct)), n_chunks)
         jobs = [(pmodel, [distinct[i] for i in chunk], config) for chunk in chunks]
         with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             results = list(pool.map(_analyze_chunk, jobs))

@@ -120,12 +120,13 @@ def single_state_verdict(
         return CauseVerdict(state, BRANCH_GREATER, w, q0)
     if w - q0 < -KAPPA:
         return CauseVerdict(state, BRANCH_LESS, w, q0)
-    succ = []
+    # one optimal_actions read per state into one mask, then one `any`
+    optimal = np.zeros_like(mod.enabled)
     for s in range(mod.n_states):
-        targets: set[int] = set()
         for a in mx.optimal_actions[s]:
-            targets |= {int(t) for t in np.flatnonzero(mod.trans[s, a] > 0.0)}
-        succ.append(frozenset(targets))
+            optimal[s, a] = True
+    reached = ((mod.trans > 0.0) & optimal[:, :, None]).any(axis=1)
+    succ = [frozenset(np.flatnonzero(r).tolist()) for r in reached]
     return _corner(state, mod.initial, succ, w, q0)
 
 

@@ -3,7 +3,7 @@ NA1/NA2 single-point baselines.
 
 One analysis per fresh point, queried for every quantity: `fresh_analyses`
 draws the batch and runs `identify`'s own per-sample analysis once on each
-point, and every estimate (F per member, R, R of each proper subset) is the
+point, and every estimate (F per member, R, R without each member) is the
 size of a union of that batch's memoized sample sets, the ones the bounds
 count.  The points are fresh and the estimates plain fractions, so they
 serve as oracles against the PAC bounds.
@@ -15,7 +15,6 @@ canonical cause over all states off every point of its batch.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -26,13 +25,6 @@ from .bounds import AnalysisBatch, cause_sample_count
 from .model import ParametricModel
 from .sampling import DistSpec, SampleBatch, align_dist, mean_point, sample, support_vertices
 from .solver import analyze_batch
-
-SUBSET_CAP = 12
-
-
-class CapExceededError(ValueError):
-    """Enumeration larger than the configured cap."""
-
 
 @dataclass(frozen=True)
 class Estimate:
@@ -98,6 +90,7 @@ def estimate_recall_probability(
 @dataclass(frozen=True)
 class SubsetGap:
     full: Estimate
+    # the k leave-one-out collections: the largest proper subsets
     subsets: tuple[tuple[tuple[frozenset[int], ...], Estimate], ...]
 
     @property
@@ -114,15 +107,12 @@ def recall_gap(
     candidate_states: Iterable[int],
     analyses: AnalysisBatch,
 ) -> SubsetGap:
-    """R of the whole collection and of every proper subset, from one batch."""
-    if len(members) > SUBSET_CAP:
-        raise CapExceededError(f"{len(members)} members exceeds the subset cap {SUBSET_CAP}")
+    """R of the whole collection and of each leave-one-out collection, from
+    one batch.  Union is monotone, so the largest leave-one-out R is the
+    largest R over all proper subsets: k unions instead of 2^k - 1."""
     restrict = frozenset(candidate_states)
-    subsets = tuple(
-        (combo, _recall_fraction(combo, restrict, analyses))
-        for r in range(len(members))
-        for combo in itertools.combinations(members, r)
-    )
+    rest = [tuple(members[:i] + members[i + 1:]) for i in range(len(members))]
+    subsets = tuple((combo, _recall_fraction(combo, restrict, analyses)) for combo in rest)
     return SubsetGap(full=_recall_fraction(members, restrict, analyses), subsets=subsets)
 
 
@@ -134,7 +124,7 @@ def subset_recall_gap(
     n_samples: int,
     seed: int,
 ) -> SubsetGap:
-    """Recall estimates for every proper subset of the member collection."""
+    """Recall estimates for the whole collection and each leave-one-out one."""
     analyses = fresh_analyses(pmodel, dist, n_samples, seed)
     return recall_gap(list(members), candidate_states, analyses)
 

@@ -52,7 +52,7 @@ def test_identify_byte_identical_across_runs_and_workers(runner, tmp_path):
 
 
 def test_identify_default_workers_follow_cpu_affinity(runner, tmp_path, monkeypatch):
-    from sprcause import cli
+    from sprcause import cli, solver
 
     seen = []
     original = cli.solve
@@ -62,8 +62,8 @@ def test_identify_default_workers_follow_cpu_affinity(runner, tmp_path, monkeypa
         return original(pmodel, dist, n, delta, beta, seed, config, verbose)
 
     monkeypatch.setattr(cli, "solve", recording)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(solver.os, "cpu_count", lambda: 8)
     result = runner.invoke(main, [
         "identify", "--model", "example", "--dist", "example",
         "-N", "10", "--out", str(tmp_path / "sol.json"),
@@ -192,6 +192,51 @@ def test_out_of_range_counts_are_usage_errors(runner, tmp_path, argv):
     assert "Traceback" not in result.output
 
 
+GOOD_SPEC = {"width": 2, "height": 2, "start": [0, 0], "red": [[1, 1]],
+             "risky": [{"cell": [1, 0], "param": "p1"}]}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({k: v for k, v in GOOD_SPEC.items() if k != "width"}, "grid spec lacks key 'width'"),
+    ([GOOD_SPEC], "grid spec must be a JSON object, got list"),
+    ({**GOOD_SPEC, "risky": [{"cell": [1, 0]}]}, "grid spec lacks key 'param'"),
+], ids=["no-width", "a-list", "risky-without-param"])
+def test_malformed_grid_spec_is_a_usage_error(runner, tmp_path, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    result = runner.invoke(main, ["gridworld", "gen", "--spec", str(path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+    assert "Traceback" not in result.output
+
+
+def test_grid_spec_round_trips_through_gen(runner, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(GOOD_SPEC))
+    result = runner.invoke(main, ["gridworld", "gen", "--spec", str(path)])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["params"] == ["p0", "p1"]
+
+
+@pytest.mark.parametrize("solution, repeat, message", [
+    ({"members": [1], "S_N": ["s1"], "N": 5}, "1", "expected a list of state names, got 1"),
+    ([{"members": [["s1"]], "S_N": ["s1"], "N": 5}], "1", "expected a JSON object, got list"),
+    ({"members": [["s1"]], "S_N": ["s1"]}, "2", "solution file: missing key 'N'"),
+], ids=["member-not-a-list", "a-list", "repeat-without-N"])
+def test_malformed_solution_is_a_usage_error(runner, tmp_path, solution, repeat, message):
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps(solution))
+    result = runner.invoke(main, [
+        "validate", "--model", "appendix-e", "--dist", "appendix-e",
+        "--solution", str(path), "-M", "5", "--repeat", repeat,
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+    assert "Traceback" not in result.output
+
+
 def test_validate_csv_deterministic(runner, tmp_path):
     sol = tmp_path / "sol.json"
     runner.invoke(main, [
@@ -252,7 +297,7 @@ def test_validate_analyses_each_point_once(runner, tmp_path, monkeypatch):
         "--solution", str(sol), "-M", "20", "--seed", "4",
     ])
     assert result.exit_code == 0
-    # F per member, R and each proper subset all read one analysis per point
+    # F per member, R and R without each member all read one analysis per point
     assert len(calls) == 20
 
 

@@ -45,6 +45,16 @@ def test_min_prefers_avoidance():
     assert exact_reach(mdp, {1}, "max")[0] == 1
 
 
+def test_min_avoids_a_two_state_cycle_with_exits():
+    # each state may exit to the target or step to the other; policy
+    # iteration started on the exits sees no strict improvement (both
+    # values 1), so only the avoid-forever set gives the true value 0
+    cycle = {0: ({2: Fraction(1)}, {1: Fraction(1)}), 1: ({2: Fraction(1)}, {0: Fraction(1)})}
+    mdp = RationalMDP(n_states=3, rows=(cycle[0], cycle[1], (None, None)), initial=0)
+    assert exact_reach(mdp, {2}, "min") == [0, 0, 1]
+    assert exact_reach(mdp, {2}, "max") == [1, 1, 1]
+
+
 def test_values_are_bellman_fixed_points():
     rng = np.random.default_rng(5)
     for _ in range(40):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,13 +14,12 @@ from oracles import (
     rational_to_concrete,
 )
 from sprcause import fixtures, reach
-from sprcause.exact import exact_reach
+from sprcause.exact import RationalMDP, exact_reach
+from sprcause.gridworld import GridSpec, derive_careful, generate
 from sprcause.model import Graph, instantiate, parse_model, support_graph
 from sprcause.reach import (
     KAPPA_ACT,
-    _pinning_masks,
-    _prob0_max_mask,
-    _prob0_min_mask,
+    _prob1_max_cached,
     _prob1_max_mask,
     _target_mask,
     exists_path_via,
@@ -97,6 +98,35 @@ def test_float_vs_exact_on_random_models():
             want = exact_reach(mdp, effect, objective)
             for s in range(mdp.n_states):
                 assert abs(got[s] - float(want[s])) <= 1e-6
+
+
+@st.composite
+def _rational_mdp_and_target(draw):
+    # any state may be terminal, so targets sit beside non-target terminals
+    n = draw(st.integers(2, 7))
+    m = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(m):
+            weights = draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, 4), max_size=3))
+            total = sum(weights.values())
+            row.append({t: Fraction(w, total) for t, w in weights.items()} or None)
+        rows.append(tuple(row))
+    target = draw(st.frozensets(st.integers(0, n - 1)))
+    return RationalMDP(n_states=n, rows=tuple(rows), initial=0), target
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_mdp_and_target())
+def test_float_values_are_exactly_zero_where_the_exact_values_are(case):
+    mdp, target = case
+    c = rational_to_concrete(mdp, target)
+    for objective, reach in (("max", max_reach), ("min", min_reach)):
+        got = reach(c, target).values
+        want = exact_reach(mdp, set(target), objective)
+        zero = [s for s in range(mdp.n_states) if want[s] == 0]
+        assert all(got[s] == 0.0 for s in zero), (objective, zero, got)
 
 
 def test_appendix_fixture_matches_policy_formula(appendix_model):
@@ -182,7 +212,7 @@ def test_exists_path_via_searches_on_from_the_via_states():
     assert not exists_path_via(joined, 0, via=[1], target=[2], avoid=[0])
 
 
-# --- pinning-mask cache and optimal actions --------------------------------
+# --- prob1-mask cache and optimal actions --------------------------------
 
 def _support(c, target):
     return (c.trans > 0.0) & c.enabled[:, :, None], _target_mask(c.n_states, target)
@@ -209,9 +239,6 @@ def test_cached_masks_equal_a_fresh_computation(model_name, dist_name, n, classe
         c = instantiate(parametric, point)
         singleton_causes(c)  # fills the cache the way the solver does
         filled = len(reach._MASK_CACHE)
-        pos, tgt = _support(c, c.effect)
-        p0, p1 = _pinning_masks("min", pos, c.enabled, tgt)
-        assert np.array_equal(p0, _prob0_min_mask(pos, c.enabled, tgt)) and not p1.any()
         base_min = min_reach(c, c.effect).values
         for pivot in range(c.n_states):
             if pivot in c.effect or pivot == c.initial:
@@ -220,10 +247,9 @@ def test_cached_masks_equal_a_fresh_computation(model_name, dist_name, n, classe
             classes.add("0" if w == 0.0 else "1" if w == 1.0 else "interior")
             mod = build_modified(c, pivot, commit_prob=w).model
             pos, tgt = _support(mod, mod.effect)
-            p0, p1 = _pinning_masks("max", pos, mod.enabled, tgt)
-            assert np.array_equal(p0, _prob0_max_mask(pos, tgt))
+            p1 = _prob1_max_cached(pos, mod.enabled, tgt)
             assert np.array_equal(p1, _prob1_max_mask(pos, mod.enabled, tgt))
-            assert not p0.flags.writeable and not p1.flags.writeable
+            assert not p1.flags.writeable
         assert len(reach._MASK_CACHE) == filled  # every lookup above was a hit
     assert classes == classes_seen
 
@@ -235,8 +261,7 @@ def test_each_commit_class_of_a_pivot_has_its_own_entry(example_model, monkeypat
     for w in (0.0, 0.5, 1.0, 0.0, 0.5, 1.0):
         mod = build_modified(c, c.state_index("s2"), commit_prob=w).model
         pos, tgt = _support(mod, mod.effect)
-        p0, p1 = _pinning_masks("max", pos, mod.enabled, tgt)
-        assert np.array_equal(p0, _prob0_max_mask(pos, tgt))
+        p1 = _prob1_max_cached(pos, mod.enabled, tgt)
         assert np.array_equal(p1, _prob1_max_mask(pos, mod.enabled, tgt))
     assert len(reach._MASK_CACHE) == 3
 
@@ -264,13 +289,17 @@ def test_mask_cache_never_exceeds_its_bound(monkeypatch):
     for p in (0.25, 1.0):
         c = instantiate(CHAIN, [p])
         for target in ([], [0], [1], [0, 1]):
-            for objective in ("min", "max"):
-                pos, tgt = _support(c, target)
-                p0, _ = _pinning_masks(objective, pos, c.enabled, tgt)
-                fresh = (_prob0_max_mask(pos, tgt) if objective == "max"
-                         else _prob0_min_mask(pos, c.enabled, tgt))
-                assert np.array_equal(p0, fresh)
-                assert len(reach._MASK_CACHE) <= 3
+            pos, tgt = _support(c, target)
+            p1 = _prob1_max_cached(pos, c.enabled, tgt)
+            assert np.array_equal(p1, _prob1_max_mask(pos, c.enabled, tgt))
+            assert len(reach._MASK_CACHE) <= 3
+
+
+def test_min_reach_builds_no_mask(example_model, monkeypatch):
+    monkeypatch.setattr(reach, "_MASK_CACHE", {})
+    c = instantiate(example_model, [0.5, 0.5])
+    min_reach(c, c.effect)
+    assert reach._MASK_CACHE == {}
 
 
 def test_optimal_actions_are_computed_once_per_values(example_model):
@@ -284,3 +313,53 @@ def test_optimal_actions_are_computed_once_per_values(example_model):
         q = (mod.trans.reshape(n * m, n) @ mx.values).reshape(n, m)
         mask = mod.enabled & (np.abs(mx.values[:, None] - q) <= KAPPA_ACT)
         assert first == tuple(tuple(int(a) for a in np.flatnonzero(row)) for row in mask)
+
+
+# --- value-iteration digest -------------------------------------------------
+
+# SHA-256 over values.tobytes(), residual, sweeps and optimal_actions of
+# min_reach and max_reach on every base and modified model of seeded samples
+# of the four builtins and an open 8x8 grid, and on seeded random MDPs whose
+# non-target terminals give the min objective avoid-forever states.  A change
+# that claims to keep value iteration bit for bit must keep this digest.
+VI_DIGEST = "db762dd06e457ff92a03277e81e6293dd5e648bedb767f299647ce23e086f962"
+
+OPEN_RED, OPEN_RISKY = frozenset({(7, 7)}), {(6, 7): "p1"}
+OPEN_GRID = GridSpec(
+    width=8, height=8, start=(0, 0), obstacles=frozenset(), red=OPEN_RED, risky=OPEN_RISKY,
+    careful=derive_careful(OPEN_RED, OPEN_RISKY, frozenset(), 8, 8),
+)
+
+
+def _vi_repr(model, target) -> bytes:
+    parts = []
+    for r in (min_reach(model, target), max_reach(model, target)):
+        parts.append((r.values.tobytes(), repr(r.residual), r.sweeps, r.optimal_actions))
+    return repr(parts).encode()
+
+
+def _base_and_modified(c):
+    yield c
+    base_min = min_reach(c, c.effect).values
+    for pivot in range(c.n_states):
+        if pivot not in c.effect:
+            yield build_modified(c, pivot, commit_prob=float(base_min[pivot])).model
+
+
+def test_vi_digest_is_pinned():
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(29)
+    cases = [_points(name, dist_name, n, seed=13) for name, dist_name, n in (
+        ("example", "example", 30), ("appendix-e", "appendix-e", 30),
+        ("grid-a", "grid", 4), ("grid-b", "grid", 4))]
+    cases.append((generate(OPEN_GRID), rng.uniform((0.5, 0.1), (0.95, 0.9), size=(3, 2))))
+    for parametric, points in cases:
+        for point in points:
+            for m in _base_and_modified(instantiate(parametric, point)):
+                digest.update(_vi_repr(m, m.effect))
+    for _ in range(300):
+        # two terminals, one of them the target: the other avoids it forever
+        mdp, terminals = random_rational_mdp(rng, max_states=8, max_actions=3, n_effect=2)
+        c = rational_to_concrete(mdp, terminals)
+        digest.update(_vi_repr(c, {max(terminals)}))
+    assert digest.hexdigest() == VI_DIGEST

@@ -262,8 +262,8 @@ def test_solve_is_deterministic_and_worker_independent(example_model, example_di
     assert one.to_json() == two.to_json() == four.to_json()
 
 
-def test_worker_pool_starts_one_process_per_chunk(example_model, example_dist, monkeypatch):
-    # two distinct points make two chunks, so four workers would leave two idle
+def _process_starts(monkeypatch) -> list:
+    """Every process start from here on, through a spy on BaseProcess.start."""
     import multiprocessing.process
 
     started = []
@@ -274,8 +274,24 @@ def test_worker_pool_starts_one_process_per_chunk(example_model, example_dist, m
         return original(self)
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
+    return started
+
+
+def test_worker_pool_starts_one_process_per_chunk(example_model, example_dist, monkeypatch):
+    # two distinct points make two chunks, so four workers would leave two idle
+    started = _process_starts(monkeypatch)
+    monkeypatch.setattr(solver, "usable_cpus", lambda: 4)  # as on a 4-CPU host
     solve(example_model, example_dist, 2, 0.0, 0.99, seed=0, config=SolveConfig(workers=4))
     assert len(started) == 2
+
+
+def test_worker_pool_never_exceeds_the_usable_cpus(example_model, example_dist, monkeypatch):
+    # one worker more than the usable CPUs, and more distinct points than both
+    usable = solver.usable_cpus()
+    started = _process_starts(monkeypatch)
+    solve(example_model, example_dist, usable + 3, 0.0, 0.99, seed=0,
+          config=SolveConfig(workers=usable + 1))
+    assert len(started) == (usable if usable > 1 else 0)
 
 
 def test_pc1_surrogate_zeta_is_max(example_model, example_dist):

@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from sprcause.bounds import recall_optimal
 from sprcause.model import instantiate, model_to_json, parse_model
 from sprcause.sampling import align_dist, mean_point, parse_dist, sample, support_vertices
 from sprcause.validate import (
-    CapExceededError,
     fresh_analyses,
     estimate_cause_probability,
     estimate_recall_probability,
@@ -85,14 +85,6 @@ def test_single_sample_half_width_is_defined(appendix_model, appendix_dist):
     est = estimate_cause_probability(appendix_model, appendix_dist, {s1}, 1, seed=8)
     assert est.value in (0.0, 1.0)
     assert est.half_width == 0.0
-
-
-def test_subset_cap():
-    m = fixtures.builtin_model("example")
-    d = fixtures.builtin_dist("example")
-    members = [frozenset({i}) for i in range(13)]
-    with pytest.raises(CapExceededError):
-        subset_recall_gap(m, d, members, frozenset(range(13)), 10, seed=7)
 
 
 def test_baselines_on_appendix(appendix_model, appendix_dist):
@@ -169,9 +161,13 @@ def test_estimates_equal_the_restricted_reference(case, seed):
     assert recall.value == restricted_recall_fraction(pmodel, dist, members, s_n, n, seed)
     gap = subset_recall_gap(pmodel, dist, members, s_n, n, seed)
     assert gap.full == recall
-    assert len(gap.subsets) == 2 ** len(members) - 1
+    assert len(gap.subsets) == len(members)
     for combo, est in gap.subsets:
         assert est.value == restricted_recall_fraction(pmodel, dist, combo, s_n, n, seed)
+    # the leave-one-out maximum is the maximum over every proper subset
+    proper = [combo for r in range(len(members)) for combo in itertools.combinations(members, r)]
+    assert gap.max_subset_value == max(
+        restricted_recall_fraction(pmodel, dist, combo, s_n, n, seed) for combo in proper)
 
 
 def test_reordered_parameters_give_the_same_answers(example_model, example_dist):
