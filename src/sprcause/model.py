@@ -23,6 +23,9 @@ from .expr import Expr, ExprError, ParamSpace, evaluate, is_literal_zero, parse_
 
 ROW_SUM_TOL = 1e-9
 ENTRY_TOL = 1e-12
+# the largest dense (S, A, S) float64 transition tensor a model may need:
+# a modified model of a 50x50 open grid (2501 states, 6 actions) takes 0.3 GB
+MAX_DENSE_BYTES = 2**30
 
 _MODEL_KEYS = {"states", "actions", "initial", "terminal_effect", "params", "transitions"}
 _TRANS_KEYS = {"from", "action", "to", "prob"}
@@ -181,6 +184,17 @@ def parse_model(document: str) -> ParametricModel:
     )
 
 
+def dense_transitions(n_states: int, n_actions: int) -> np.ndarray:
+    """A zero (S, A, S) float64 tensor, or ModelError over MAX_DENSE_BYTES."""
+    size = n_states * n_actions * n_states * 8
+    if size > MAX_DENSE_BYTES:
+        raise ModelError(
+            f"a dense transition tensor of {n_states} states x {n_actions} actions needs "
+            f"{size} bytes, over the bound of {MAX_DENSE_BYTES} (model.MAX_DENSE_BYTES)"
+        )
+    return np.zeros((n_states, n_actions, n_states))
+
+
 def load_model(path) -> ParametricModel:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_model(fh.read())
@@ -192,6 +206,8 @@ def instantiate(model: ParametricModel, point: Sequence[float]) -> ConcreteModel
     Raises ModelError when a row is not a probability distribution: an
     entry further than ENTRY_TOL outside [0,1], or a row sum off by more
     than ROW_SUM_TOL.  Entries within tolerance are clamped to [0,1].
+    Also raises it, before evaluating any expression, when the dense tensor would
+    exceed MAX_DENSE_BYTES.
     """
     if len(point) != model.param_space.dimension:
         raise ModelError(
@@ -199,7 +215,7 @@ def instantiate(model: ParametricModel, point: Sequence[float]) -> ConcreteModel
         )
     env = dict(zip(model.param_space.names, map(float, point)))
     n, m = model.n_states, model.n_actions
-    trans = np.zeros((n, m, n))
+    trans = dense_transitions(n, m)
     enabled = np.zeros((n, m), dtype=bool)
     for s in range(n):
         for a in range(m):

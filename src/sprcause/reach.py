@@ -11,6 +11,17 @@ almost-surely-reaching policy, the standard double fixpoint): a residual
 check alone can stop far below the true value when the only mass flows
 through slow cycles.  A min iteration pins only the target.
 
+One sweep is one product of the (state, action) rows with the values,
+then per state the extremum over its enabled actions, then the fixed
+states (pinned or actionless) set back to their start values.  The
+extremum adds an (A, S) penalty, 0.0 where an action is enabled and -inf
+(max) or +inf (min) where it is not, into a transposed buffer and reduces
+it along its contiguous action axis.  This is exact: every Q-entry is at
+least +0.0, so adding 0.0 leaves it unchanged and an infinity absorbs it
+whatever a disabled row holds, and max and min select an element, so the
+reduction order cannot change the result.  Only the product rounds, and
+it is the same product over all rows as always.
+
 The prob1 mask depends on the model only through its boolean support, so
 it is cached by it: the key is the shape, the packed positive-transition
 mask, the enabled mask and the target mask.  A hit therefore returns
@@ -19,7 +30,12 @@ follows runs the same float operations.  Samples of one parametric model
 usually share their support (every sample of the builtin models does), so
 each pivot's modified model (one entry per class of w_c: 0, 1 or in
 between) computes its mask once.  The cached arrays are read-only, and the
-cache is cleared when it reaches MASK_CACHE_MAX entries.
+cache is cleared when it reaches MASK_CACHE_MAX entries.  A miss runs the
+double fixpoint on the support's edge list (s, a, t), not on the dense
+(S, A, S) tensor: an inner step adds every s with an edge into the
+growing set whose pair (s, a) is enabled and has no edge leaving the
+candidate set.  Those are the states the dense step adds, so every iterate
+and the mask are the same.
 
 The exact layer (`exact.exact_reach`) keeps its avoid-forever set: policy
 iteration does not climb from 0, and without that set two states that
@@ -88,15 +104,21 @@ def _target_mask(n: int, target: Iterable[int]) -> np.ndarray:
 
 
 def _prob1_max_mask(pos: np.ndarray, enabled: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    n, m = enabled.shape
+    src, act, dst = np.nonzero(pos)
+    pair = src * m + act
+    enabled_flat = enabled.ravel()
     u = np.ones(tgt.shape, dtype=bool)
     while True:
         # grow from the target the states that can step toward it while
         # staying inside the current candidate set
-        allin = ~((pos & ~u[None, None, :]).any(axis=2)) & enabled
+        leaves = np.zeros(n * m, dtype=bool)
+        leaves[pair[~u[dst]]] = True
+        allin = (enabled_flat & ~leaves)[pair]  # per edge: its (s, a) stays in u
         v = tgt.copy()
         while True:
-            somein = (pos & v[None, None, :]).any(axis=2)
-            grown = v | (allin & somein).any(axis=1)
+            grown = v.copy()
+            grown[src[allin & v[dst]]] = True
             if (grown == v).all():
                 break
             v = grown
@@ -133,12 +155,19 @@ def _value_iteration(
         pinned = _prob1_max_cached(pos, model.enabled, tgt)  # contains the target
     v = pinned.astype(float)
 
-    no_action = ~model.enabled.any(axis=1)
-    flat = model.trans.reshape(n * m, n)
-    disabled = ~model.enabled
+    # why this sweep gives the masked loop's floats bit for bit: see the
+    # module docstring
+    fixed = pinned | ~model.enabled.any(axis=1)
+    keep = v.copy()
     fill = -np.inf if objective == "max" else np.inf
+    penalty = np.where(model.enabled.T, 0.0, fill)
     reduce_ = np.maximum.reduce if objective == "max" else np.minimum.reduce
+    flat = model.trans.reshape(n * m, n)
     qbuf = np.empty(n * m)
+    q_t = qbuf.reshape(n, m).T
+    qsum = np.empty((m, n))
+    new = np.empty(n)
+    diff = np.empty(n)
 
     residual = np.inf
     sweeps = 0
@@ -146,13 +175,12 @@ def _value_iteration(
         if sweeps >= MAX_SWEEPS:
             raise IterationLimitError(f"no convergence after {MAX_SWEEPS} sweeps")
         np.matmul(flat, v, out=qbuf)
-        q = qbuf.reshape(n, m)
-        q[disabled] = fill
-        new = reduce_(q, axis=1)
-        new[no_action] = 0.0
-        new[pinned] = v[pinned]
-        residual = float(np.abs(new - v).max())
-        v = new
+        np.add(q_t, penalty, out=qsum)
+        reduce_(qsum, axis=0, out=new)
+        np.copyto(new, keep, where=fixed)
+        np.subtract(new, v, out=diff)
+        residual = float(np.abs(diff, out=diff).max())
+        v, new = new, v
         sweeps += 1
         if trace is not None:
             trace.append(v.copy())

@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from . import exact as exact_mod
-from .model import ConcreteModel, Graph
+from .model import ConcreteModel, Graph, dense_transitions
 from .reach import max_reach, min_reach, reachable_avoiding, exists_path_via
 
 KAPPA = 1e-7
@@ -62,7 +62,10 @@ class CauseVerdict:
 def build_modified(
     model: ConcreteModel, pivot: int, commit_prob: float | None = None
 ) -> ModifiedModel:
-    """Replace the pivot's actions by a single effect/no-effect coin flip."""
+    """Replace the pivot's actions by a single effect/no-effect coin flip.
+
+    Raises ModelError when the modified model's dense tensor would exceed
+    `model.MAX_DENSE_BYTES`."""
     if pivot in model.effect:
         raise ValueError(f"pivot {model.states[pivot]!r} is an effect state")
     if commit_prob is None:
@@ -70,7 +73,7 @@ def build_modified(
     n, m = model.n_states, len(model.actions)
     eff = min(model.effect)
     noeff = n
-    trans = np.zeros((n + 1, m + 1, n + 1))
+    trans = dense_transitions(n + 1, m + 1)
     trans[:n, :m, :n] = model.trans
     enabled = np.zeros((n + 1, m + 1), dtype=bool)
     enabled[:n, :m] = model.enabled

@@ -15,6 +15,12 @@ verdicts plus condition (M)) and `canonical_cause` (the front of the
 singleton causes), the references for the NA1/NA2 baselines and the
 restricted estimators.  `rational_to_concrete` is the float twin of a
 rational MDP, for float-against-exact comparisons.
+
+`prob1_max_mask_dense` and `value_iteration_loop` are the value
+iteration's former forms: the prob1 double fixpoint over the dense
+(state, action, successor) support tensor, and the sweep that masks the
+disabled Q-entries in place and reduces along each state's actions.  The
+package's edge-list fixpoint and penalty sweep must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from scipy import integrate
 
 from sprcause.exact import RationalMDP
 from sprcause.model import ConcreteModel, instantiate, support_graph
-from sprcause.reach import reachable_avoiding
+from sprcause.reach import VI_TOL, reachable_avoiding
 from sprcause.sampling import sample
 from sprcause.sprcheck import cause_front, recall_covers, satisfies_minimality, singleton_causes
 
@@ -76,6 +82,56 @@ def rational_to_concrete(mdp: RationalMDP, effect) -> ConcreteModel:
         trans=trans,
         enabled=enabled,
     )
+
+
+def prob1_max_mask_dense(pos: np.ndarray, enabled: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """The max objective's prob1 states by the double fixpoint over the
+    dense (S, A, S) support; the reference for `reach._prob1_max_mask`."""
+    u = np.ones(tgt.shape, dtype=bool)
+    while True:
+        allin = ~((pos & ~u[None, None, :]).any(axis=2)) & enabled
+        v = tgt.copy()
+        while True:
+            somein = (pos & v[None, None, :]).any(axis=2)
+            grown = v | (allin & somein).any(axis=1)
+            if (grown == v).all():
+                break
+            v = grown
+        if (v == u).all():
+            return u
+        u = v
+
+
+def value_iteration_loop(model: ConcreteModel, target, objective: str):
+    """(values, residual, sweeps) of the former sweep: fill the disabled
+    Q-entries in place, reduce each state's row, zero the actionless states
+    and restore the pinned ones; the reference for `reach._value_iteration`."""
+    n, m = model.n_states, len(model.actions)
+    tgt = np.zeros(n, dtype=bool)
+    tgt[list(target)] = True
+    pinned = tgt
+    if objective == "max":
+        pos = (model.trans > 0.0) & model.enabled[:, :, None]
+        pinned = prob1_max_mask_dense(pos, model.enabled, tgt)
+    v = pinned.astype(float)
+    no_action = ~model.enabled.any(axis=1)
+    flat = model.trans.reshape(n * m, n)
+    disabled = ~model.enabled
+    fill = -np.inf if objective == "max" else np.inf
+    reduce_ = np.maximum.reduce if objective == "max" else np.minimum.reduce
+    qbuf = np.empty(n * m)
+    residual, sweeps = np.inf, 0
+    while residual > VI_TOL:
+        np.matmul(flat, v, out=qbuf)
+        q = qbuf.reshape(n, m)
+        q[disabled] = fill
+        new = reduce_(q, axis=1)
+        new[no_action] = 0.0
+        new[pinned] = v[pinned]
+        residual = float(np.abs(new - v).max())
+        v = new
+        sweeps += 1
+    return np.clip(v, 0.0, 1.0), residual, sweeps
 
 
 def rational_tail_root(k: int, n: int, beta: Fraction, bits: int = 60) -> Fraction:
@@ -286,7 +342,9 @@ def restricted_cause_fraction(pmodel, dist, cause, n_samples: int, seed: int) ->
     return sum(1 for p in points if is_spr_cause(instantiate(pmodel, p), cause)) / n_samples
 
 
-def _restricted_recall_indicator(concrete, collection, candidate_states) -> bool:
+def restricted_recall_indicator(concrete, collection, candidate_states) -> bool:
+    """Is some member recall-optimal on this concrete model, with the
+    analysis restricted to the candidate states?"""
     causes = singleton_cause_set(concrete, candidate_states)
     graph = support_graph(concrete)
     canonical = canonical_cause(concrete, candidate_states)
@@ -310,7 +368,7 @@ def restricted_recall_fraction(
     points = sample(dist, n_samples, seed).points
     hits = sum(
         1 for p in points
-        if _restricted_recall_indicator(instantiate(pmodel, p), collection, candidate_states)
+        if restricted_recall_indicator(instantiate(pmodel, p), collection, candidate_states)
     )
     return hits / n_samples
 

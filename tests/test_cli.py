@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from sprcause import fixtures
+from sprcause import fixtures, model
 from sprcause.cli import main
 from sprcause.sampling import parse_dist
 
@@ -353,3 +353,15 @@ def test_gridworld_dist_prints_the_shipped_grid_distribution(runner):
         '"p2": {"uniform": [0.5, 0.7]}}\n'
     )
     assert parse_dist(result.output) == fixtures.builtin_dist("grid")
+
+
+@pytest.mark.parametrize("argv", [
+    ["identify", "--model", "example", "--dist", "example", "-N", "4", "--workers", "1"],
+    ["check", "--model", "example", "--point", "0.3,0.6", "s2"],
+    ["baseline", "na1", "--model", "example", "--dist", "example"],
+])
+def test_dense_tensor_over_the_bound_is_a_usage_error(runner, monkeypatch, argv):
+    monkeypatch.setattr(model, "MAX_DENSE_BYTES", 100)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 1
+    assert "6 states x 2 actions needs 576 bytes, over the bound of 100" in result.output

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sprcause import model
 from sprcause.exact import from_parametric
+from sprcause.gridworld import GridSpec, derive_careful, generate
 from sprcause.model import (
     ModelError,
     instantiate,
@@ -13,6 +15,7 @@ from sprcause.model import (
     parse_model,
     support_graph,
 )
+from sprcause.sprcheck import build_modified
 
 TWO_STATE = {
     "states": ["s0", "e"],
@@ -160,3 +163,32 @@ def test_random_pair_rows_sum_to_one(doc, p, q):
     for s in range(c.n_states):
         for a in np.flatnonzero(c.enabled[s]):
             assert abs(c.trans[s, a].sum() - 1.0) <= 1e-9
+
+
+# --- the bound on dense transition tensors ----------------------------------
+
+def test_instantiate_refuses_a_tensor_over_the_bound(example_model, monkeypatch):
+    n, m = example_model.n_states, example_model.n_actions
+    size = n * m * n * 8
+    monkeypatch.setattr(model, "MAX_DENSE_BYTES", size - 1)
+    with pytest.raises(ModelError, match=rf"{n} states x {m} actions needs {size} bytes"):
+        instantiate(example_model, [0.5, 0.5])
+
+
+def test_build_modified_refuses_a_tensor_over_the_bound(example_model, monkeypatch):
+    n, m = example_model.n_states, example_model.n_actions
+    monkeypatch.setattr(model, "MAX_DENSE_BYTES", n * m * n * 8)
+    c = instantiate(example_model, [0.5, 0.5])  # exactly at the bound
+    size = (n + 1) * (m + 1) * (n + 1) * 8
+    with pytest.raises(ModelError, match=rf"{n + 1} states x {m + 1} actions needs {size} bytes"):
+        build_modified(c, c.state_index("s2"), commit_prob=0.5)
+
+
+def test_a_50x50_open_grid_fits_the_bound():
+    red, risky = frozenset({(49, 49)}), {(48, 49): "p1"}
+    grid = generate(GridSpec(
+        width=50, height=50, start=(0, 0), obstacles=frozenset(), red=red, risky=risky,
+        careful=derive_careful(red, risky, frozenset(), 50, 50),
+    ))
+    n, m = grid.n_states, grid.n_actions
+    assert (n + 1) * (m + 1) * (n + 1) * 8 <= model.MAX_DENSE_BYTES

@@ -10,13 +10,15 @@ from oracles import (
     cause_front_per_member,
     exists_path_via_per_via,
     minimality_per_member,
+    prob1_max_mask_dense,
     random_rational_mdp,
     rational_to_concrete,
+    value_iteration_loop,
 )
 from sprcause import fixtures, reach
 from sprcause.exact import RationalMDP, exact_reach
 from sprcause.gridworld import GridSpec, derive_careful, generate
-from sprcause.model import Graph, instantiate, parse_model, support_graph
+from sprcause.model import ConcreteModel, Graph, instantiate, parse_model, support_graph
 from sprcause.reach import (
     KAPPA_ACT,
     _prob1_max_cached,
@@ -315,6 +317,94 @@ def test_optimal_actions_are_computed_once_per_values(example_model):
         assert first == tuple(tuple(int(a) for a in np.flatnonzero(row)) for row in mask)
 
 
+# --- the edge-list fixpoint and the penalty sweep, against the former forms -
+
+@st.composite
+def _support_and_target(draw):
+    # free bits: actionless states, self-loops, targets with actions or
+    # unreachable, and support bits on disabled pairs
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 3))
+    bits = st.lists(st.booleans(), min_size=n * m * n, max_size=n * m * n)
+    pos = np.array(draw(bits), dtype=bool).reshape(n, m, n)
+    enabled = np.array(draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m)),
+                       dtype=bool).reshape(n, m)
+    tgt = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return pos, enabled, tgt
+
+
+@settings(max_examples=500, deadline=None)
+@given(_support_and_target())
+def test_prob1_mask_matches_the_dense_fixpoint_on_random_supports(case):
+    pos, enabled, tgt = case
+    for support in (pos, pos & enabled[:, :, None]):
+        got = _prob1_max_mask(support, enabled, tgt)
+        assert np.array_equal(got, prob1_max_mask_dense(support, enabled, tgt))
+
+
+@pytest.mark.parametrize("model_name, dist_name", [
+    ("example", "example"), ("appendix-e", "appendix-e"), ("grid-a", "grid"), ("grid-b", "grid"),
+])
+def test_prob1_mask_matches_the_dense_fixpoint_on_every_modified_model(model_name, dist_name):
+    parametric, (point,) = _points(model_name, dist_name, 1)
+    for m in _base_and_modified(instantiate(parametric, point)):
+        pos, tgt = _support(m, m.effect)
+        assert np.array_equal(_prob1_max_mask(pos, m.enabled, tgt),
+                              prob1_max_mask_dense(pos, m.enabled, tgt))
+
+
+def _assert_sweep_matches_the_loop(model, target):
+    for objective, reach_ in (("min", min_reach), ("max", max_reach)):
+        got = reach_(model, target)
+        values, residual, sweeps = value_iteration_loop(model, target, objective)
+        assert got.values.tobytes() == values.tobytes(), objective
+        assert (repr(got.residual), got.sweeps) == (repr(residual), sweeps), objective
+
+
+def _concrete(trans, enabled, effect):
+    enabled = np.array(enabled, dtype=bool)
+    n, m = enabled.shape
+    return ConcreteModel(
+        states=tuple(f"s{i}" for i in range(n)), actions=tuple(f"a{i}" for i in range(m)),
+        initial=0, effect=frozenset(effect), trans=np.array(trans, dtype=float), enabled=enabled,
+    )
+
+
+def test_sweep_ignores_entries_in_disabled_rows():
+    # s0's disabled a1 points at the target with probability 1, and s1's
+    # disabled a0 at the sink: a sweep that took disabled rows to be zero,
+    # or read them at all, would raise s0's max and lower s1's min
+    trans = np.zeros((4, 2, 4))
+    trans[0, 0] = (0.5, 0.25, 0.25, 0.0)
+    trans[0, 1, 3] = 1.0
+    trans[1, 1, 3] = 1.0
+    trans[1, 0, 2] = 1.0
+    enabled = [[True, False], [False, True], [False, False], [False, False]]
+    model = _concrete(trans, enabled, {3})
+    _assert_sweep_matches_the_loop(model, {3})
+    assert max_reach(model, {3}).values[0] < 0.5
+    assert min_reach(model, {3}).values[1] == 1.0
+
+
+def test_sweep_with_no_free_state_stops_after_one_sweep():
+    # every state is pinned or actionless
+    model = _concrete(np.zeros((3, 1, 3)), [[False]] * 3, {2})
+    _assert_sweep_matches_the_loop(model, {2})
+    for reach_ in (min_reach, max_reach):
+        res = reach_(model, {2})
+        assert (res.sweeps, res.residual) == (1, 0.0)
+        assert res.values.tolist() == [0.0, 0.0, 1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_mdp_and_target())
+def test_sweep_matches_the_former_loop_bit_for_bit(case):
+    # any state may be terminal, so the min objective meets actionless
+    # non-target states
+    mdp, target = case
+    _assert_sweep_matches_the_loop(rational_to_concrete(mdp, target), set(target))
+
+
 # --- value-iteration digest -------------------------------------------------
 
 # SHA-256 over values.tobytes(), residual, sweeps and optimal_actions of
@@ -363,3 +453,35 @@ def test_vi_digest_is_pinned():
         c = rational_to_concrete(mdp, terminals)
         digest.update(_vi_repr(c, {max(terminals)}))
     assert digest.hexdigest() == VI_DIGEST
+
+
+# The same digest over every base and modified model of two seeded samples
+# of one 110-state open grid: no obstacles, a red corner behind two risky
+# cells, absorbing sinks on a lattice and no "stay" elsewhere, so the slip
+# gives the max objective values strictly between 0 and 1 and slow cycles.
+VI_DIGEST_LARGE = "35fe26efb72ceb40ffb3730724a561f9a5374a11aab56783fdecfe8476ff1213"
+
+
+def _sink_lattice_grid():
+    width, height = 10, 11
+    red = frozenset({(9, 10)})
+    risky = {(8, 10): "p1", (9, 9): "p2"}
+    moves = ("up", "right", "down", "left")
+    one_way = {(x, y): moves for x in range(width) for y in range(height)
+               if (x, y) not in red and (x, y) not in risky}
+    one_way.update({(x, y): ("stay",) for x in range(1, width, 3) for y in range(1, height, 3)})
+    return generate(GridSpec(
+        width=width, height=height, start=(0, 0), obstacles=frozenset(), red=red, risky=risky,
+        careful=derive_careful(red, risky, frozenset(), width, height), one_way=one_way,
+    ))
+
+
+def test_vi_digest_on_a_large_open_grid_is_pinned():
+    parametric = _sink_lattice_grid()
+    assert parametric.n_states == 110
+    digest = hashlib.sha256()
+    points = np.random.default_rng(31).uniform((0.5, 0.1, 0.1), (0.95, 0.9, 0.9), size=(2, 3))
+    for point in points:
+        for m in _base_and_modified(instantiate(parametric, point)):
+            digest.update(_vi_repr(m, m.effect))
+    assert digest.hexdigest() == VI_DIGEST_LARGE

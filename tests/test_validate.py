@@ -10,6 +10,7 @@ from oracles import (
     prob_first_greater,
     restricted_cause_fraction,
     restricted_recall_fraction,
+    restricted_recall_indicator,
 )
 from sprcause import fixtures
 from sprcause.bounds import recall_optimal
@@ -196,21 +197,42 @@ GRID_SOLUTION = (
 )
 
 
+def _missed_points(pmodel, dist, seed):
+    """Indices of the `validate -M 50 --seed SEED` points on which no member
+    of the benchmark's grid-a solution is recall-optimal; each one checked
+    against the restricted oracle.  Returns the analyses too."""
+    doc = json.loads(GRID_SOLUTION.read_text(encoding="utf-8"))
+    members = [frozenset(pmodel.state_index(s) for s in m) for m in doc["members"]]
+    s_n = frozenset(pmodel.state_index(s) for s in doc["S_N"])
+    analyses = fresh_analyses(pmodel, dist, 50, seed)
+    missed = [
+        i for i in range(analyses.n)
+        if not any(recall_optimal(m, analyses, i, s_n) for m in members)
+    ]
+    points = sample(align_dist(dist, pmodel.param_space.names), 50, seed).points
+    for i in missed:
+        assert not restricted_recall_indicator(instantiate(pmodel, points[i]), members, s_n)
+    return missed, analyses, points, s_n
+
+
 def test_grid_validate_seed_5008_misses_one_point(grid_model_a, grid_dist):
     # `validate --model grid-a --dist grid -M 50 --seed 5008` on the benchmark's
     # solution reports R = 0.98.  That is the right answer: at one point no
     # member is made of singleton causes, and the canonical cause there
     # shares no member.  The solution's zeta (0.955) allows such misses.
-    doc = json.loads(GRID_SOLUTION.read_text(encoding="utf-8"))
-    members = [frozenset(grid_model_a.state_index(s) for s in m) for m in doc["members"]]
-    s_n = frozenset(grid_model_a.state_index(s) for s in doc["S_N"])
-    analyses = fresh_analyses(grid_model_a, grid_dist, 50, 5008)
-    missed = [
-        i for i in range(analyses.n)
-        if not any(recall_optimal(m, analyses, i, s_n) for m in members)
-    ]
+    missed, analyses, points, s_n = _missed_points(grid_model_a, grid_dist, 5008)
     assert missed == [44]
-    points = sample(align_dist(grid_dist, grid_model_a.param_space.names), 50, 5008).points
     assert np.allclose(points[44], (0.879, 0.542, 0.507), atol=5e-4)
     canonical = analyses.canonical(44, s_n)
     assert sorted(grid_model_a.states[s] for s in canonical) == ["c6_5", "c7_7"]
+
+
+# The other `grid-validate` job seeds 1000*s + k (s < 10 with k < 40, and
+# s = 10..29 with k < 30) whose correct output is R = 0.98: each misses
+# exactly one point, so a check of R == 1 misjudges these jobs.
+@pytest.mark.parametrize("seed, index", [
+    (7024, 13), (16018, 7), (19004, 8), (21019, 32), (27017, 7), (29005, 49),
+])
+def test_grid_validate_seeds_that_miss_one_point(grid_model_a, grid_dist, seed, index):
+    missed, _, _, _ = _missed_points(grid_model_a, grid_dist, seed)
+    assert missed == [index]
