@@ -13,9 +13,11 @@ function, which stays finite for sample counts far beyond direct
 summation.
 
 Every count, cover set and Monte-Carlo estimate is the size of a union of
-sample sets that one memo on `AnalysisBatch` answers once per key: the
-samples where the canonical cause is empty, where a set is an SPR cause,
-and where a member is recall-optimal (plus each sample's canonical cause).
+sample sets.  A query reads a sample only through its analysis, so
+`AnalysisBatch` keeps each distinct analysis once (a class) with the
+samples that share it, and answers a query once per class: the samples
+where the canonical cause is empty, where a set is an SPR cause, and where
+a member is recall-optimal.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def tail_root(discarded: int, total: int, confidence: float) -> float:
 
 @dataclass(frozen=True)
 class SampleAnalysis:
-    """Per-sample cache: singleton-cause states and the support graph."""
+    """One sample's analysis: singleton-cause states and the support graph."""
 
     cause_states: frozenset[int]
     graph: Graph
@@ -77,45 +79,48 @@ class SampleAnalysis:
 
 @dataclass(frozen=True)
 class AnalysisBatch:
-    """Analyses for one sampled batch, and the memo of the queries on it."""
+    """One batch's distinct analyses (`classes`, in the order of their first
+    sample) and, for each class, the indices of the samples that have it."""
 
     initial: int
     effect: frozenset[int]
-    analyses: tuple[SampleAnalysis, ...]
+    classes: tuple[SampleAnalysis, ...]
+    samples: tuple[frozenset[int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_memo", {})
+    @classmethod
+    def of(cls, initial: int, effect: frozenset[int],
+           analyses: Iterable[SampleAnalysis]) -> AnalysisBatch:
+        """Group per-sample analyses into classes of equal analyses."""
+        members: dict[SampleAnalysis, list[int]] = {}
+        for i, a in enumerate(analyses):
+            members.setdefault(a, []).append(i)
+        return cls(initial, effect, tuple(members), tuple(map(frozenset, members.values())))
 
     @property
     def n(self) -> int:
-        return len(self.analyses)
+        return sum(map(len, self.samples))
 
-    def _memoized(self, key: tuple, compute: Callable[[], frozenset[int]]) -> frozenset[int]:
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+    def _where(self, holds: Callable[[SampleAnalysis], bool]) -> frozenset[int]:
+        """The samples of every class on which `holds` is true."""
+        return frozenset().union(*(s for a, s in zip(self.classes, self.samples) if holds(a)))
 
-    def canonical(self, index: int, restrict: frozenset[int]) -> frozenset[int]:
-        a = self.analyses[index]
-        return self._memoized(("canonical", index, restrict), lambda: cause_front(
-            a.cause_states & restrict, a.graph, self.initial))
+    def canonical(self, analysis: SampleAnalysis, restrict: frozenset[int]) -> frozenset[int]:
+        """The front of the analysis's singleton causes within `restrict`."""
+        return cause_front(analysis.cause_states & restrict, analysis.graph, self.initial)
 
     def empty_canonical_samples(self, restrict: frozenset[int]) -> frozenset[int]:
         """Samples whose canonical cause over `restrict` is empty."""
-        return self._memoized(("empty", restrict), lambda: frozenset(
-            i for i in range(self.n) if not self.canonical(i, restrict)))
+        return self._where(lambda a: not self.canonical(a, restrict))
 
     def cause_samples(self, cause: frozenset[int]) -> frozenset[int]:
         """Samples on which `cause` is an SPR cause: members all singleton
         causes over the full state space, plus minimality."""
-        return self._memoized(("cause", cause), lambda: frozenset(
-            i for i, a in enumerate(self.analyses)
-            if cause <= a.cause_states and satisfies_minimality(a.graph, self.initial, cause)))
+        return self._where(lambda a: cause <= a.cause_states
+                           and satisfies_minimality(a.graph, self.initial, cause))
 
     def recall_samples(self, member: frozenset[int], restrict: frozenset[int]) -> frozenset[int]:
         """Samples on which `member` is recall-optimal (`recall_optimal`)."""
-        return self._memoized(("recall", member, restrict), lambda: frozenset(
-            i for i in range(self.n) if recall_optimal(member, self, i, restrict)))
+        return self._where(lambda a: recall_optimal(member, self, a, restrict))
 
 
 def cause_sample_count(cause: Iterable[int], batch: AnalysisBatch) -> int:
@@ -133,20 +138,21 @@ def cause_probability_bound(cause: Iterable[int], batch: AnalysisBatch, confiden
 
 
 def recall_optimal(
-    member: frozenset[int], batch: AnalysisBatch, index: int, restrict: frozenset[int]
+    member: frozenset[int], batch: AnalysisBatch, analysis: SampleAnalysis,
+    restrict: frozenset[int],
 ) -> bool:
-    """Is `member` a recall-optimal SPR cause on sample `index`?
+    """Is `member` a recall-optimal SPR cause on the samples with `analysis`?
 
     The member must be made of singleton causes within `restrict`, satisfy
-    minimality, and cover every effect path through the sample's canonical
+    minimality, and cover every effect path through the analysis's canonical
     cause over `restrict`.
     """
-    a = batch.analyses[index]
+    graph = analysis.graph
     return (
-        member <= (a.cause_states & restrict)
-        and satisfies_minimality(a.graph, batch.initial, member)
+        member <= (analysis.cause_states & restrict)
+        and satisfies_minimality(graph, batch.initial, member)
         and recall_covers(
-            a.graph, member, batch.canonical(index, restrict), batch.effect, batch.initial
+            graph, member, batch.canonical(analysis, restrict), batch.effect, batch.initial
         )
     )
 

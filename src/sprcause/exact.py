@@ -25,12 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import lcm
 from typing import Iterable
 
-from .expr import evaluate
-from .model import ConcreteModel, ModelError
+from .model import ConcreteModel
 
 
 @dataclass(frozen=True)
@@ -46,30 +44,6 @@ class RationalMDP:
 
     def enabled(self, s: int) -> list[int]:
         return [a for a, row in enumerate(self.rows[s]) if row is not None]
-
-
-def from_parametric(pmodel, point: Iterable[Fraction]) -> RationalMDP:
-    """Instantiate a parametric model at an exact rational point.
-
-    Raises ModelError unless every row is exactly a distribution.  Zero
-    entries are dropped, as in `from_concrete`: a row's keys are its
-    support, and the graph steps below read them as edges."""
-    point = [Fraction(x) for x in point]
-    if len(point) != pmodel.param_space.dimension:
-        raise ModelError("parameter point has wrong dimension")
-    env = dict(zip(pmodel.param_space.names, point))
-    rows = [[None] * pmodel.n_actions for _ in range(pmodel.n_states)]
-    for s, a in product(range(pmodel.n_states), range(pmodel.n_actions)):
-        exprs = pmodel.transitions[s][a]
-        if exprs is None:
-            continue
-        vals = {t: evaluate(ex, env, Fraction) for t, ex in exprs.items()}
-        if any(v < 0 or v > 1 for v in vals.values()):
-            raise ModelError(f"entry out of [0,1] at ({pmodel.states[s]}, {pmodel.actions[a]})")
-        if sum(vals.values()) != 1:
-            raise ModelError(f"row does not sum to 1 at ({pmodel.states[s]}, {pmodel.actions[a]})")
-        rows[s][a] = {t: v for t, v in vals.items() if v != 0}
-    return RationalMDP(pmodel.n_states, tuple(map(tuple, rows)), pmodel.initial)
 
 
 def from_concrete(model: ConcreteModel) -> RationalMDP:

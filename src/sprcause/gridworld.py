@@ -257,19 +257,3 @@ def spec_from_json(doc) -> GridSpec:
     except (TypeError, ValueError, IndexError) as e:
         raise GridError(f"grid spec: {e}") from None
     return GridSpec(**fields)
-
-
-def spec_to_json(spec: GridSpec) -> dict:
-    return {
-        "width": spec.width,
-        "height": spec.height,
-        "start": list(spec.start),
-        "obstacles": sorted(list(c) for c in spec.obstacles),
-        "red": sorted(list(c) for c in spec.red),
-        "risky": [{"cell": list(c), "param": p} for c, p in sorted(spec.risky.items())],
-        "careful": sorted(list(c) for c in spec.careful),
-        "one_way": [
-            {"cell": list(c), "actions": list(a)} for c, a in sorted(spec.one_way.items())
-        ],
-        "slip": spec.slip,
-    }

@@ -59,9 +59,6 @@ class ParametricModel:
         except ValueError:
             raise ModelError(f"unknown state {name!r}") from None
 
-    def enabled_actions(self, s: int) -> tuple[int, ...]:
-        return tuple(a for a, row in enumerate(self.transitions[s]) if row is not None)
-
 
 @dataclass(frozen=True)
 class ConcreteModel:

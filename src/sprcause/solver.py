@@ -120,7 +120,8 @@ def _analyze_chunk(args) -> list[SampleAnalysis]:
 def analyze_batch(
     pmodel: ParametricModel, batch: SampleBatch, config: SolveConfig = SolveConfig()
 ) -> AnalysisBatch:
-    """Singleton-cause analysis for every sampled point (duplicates shared)."""
+    """Singleton-cause analysis for every sampled point (duplicates shared),
+    grouped into classes of equal analyses."""
     if config.exact_corners and pmodel.n_states > DEFAULT_STATE_CAP:
         log.warning(
             "exact corners (--exact) skipped: %d states exceed the exact state cap %d",
@@ -139,11 +140,7 @@ def analyze_batch(
     else:
         flat = _analyze_chunk((pmodel, distinct, config))
     by_point = dict(zip(distinct, flat))
-    return AnalysisBatch(
-        initial=pmodel.initial,
-        effect=pmodel.effect,
-        analyses=tuple(by_point[p] for p in points),
-    )
+    return AnalysisBatch.of(pmodel.initial, pmodel.effect, (by_point[p] for p in points))
 
 
 def filter_states(
@@ -156,26 +153,13 @@ def filter_states(
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta {delta} outside [0, 1)")
     keep = set()
-    for c in range(batch.analyses[0].graph.n):
+    for c in range(batch.classes[0].graph.n):
         if c in batch.effect:
             continue
         bound = cause_probability_bound({c}, batch, beta)
         if bound >= delta if geq else bound > delta:
             keep.add(c)
     return frozenset(keep)
-
-
-def cover_of(
-    member: frozenset[int], batch: AnalysisBatch, candidate_states: frozenset[int]
-) -> frozenset[int]:
-    """Samples on which `member` is recall-optimal (`bounds.recall_optimal`).
-
-    Samples with an empty canonical cause have nothing to cover and are
-    always included; a sample's own canonical cause covers that sample
-    (self-coverage).
-    """
-    return (batch.empty_canonical_samples(candidate_states)
-            | batch.recall_samples(member, candidate_states))
 
 
 def select_indices(cover_sets: dict[int, frozenset[int]], universe: frozenset[int]) -> list[int]:
@@ -245,15 +229,20 @@ def solve_from_analyses(
     verbose: bool = False,
 ) -> CauseSolution:
     s_n = filter_states(analyses, delta, beta, geq=config.geq_filter)
-    canonicals = [analyses.canonical(i, s_n) for i in range(analyses.n)]
+    canonicals = [analyses.canonical(a, s_n) for a in analyses.classes]
+    empty = analyses.empty_canonical_samples(s_n)
     universe = frozenset(range(analyses.n))
 
-    # distinct nonempty canonical causes; the cover set depends only on the set
+    # distinct nonempty canonical causes, each at its first sample; the cover
+    # set depends only on the set, and always holds the samples with an empty
+    # canonical cause, which have nothing to cover (a sample's own canonical
+    # cause covers that sample: self-coverage)
     rep_index: dict[frozenset[int], int] = {}
-    for i, c in enumerate(canonicals):
+    for c, samples in zip(canonicals, analyses.samples):
         if c and c not in rep_index:
-            rep_index[c] = i
-    covers = {i: cover_of(c, analyses, s_n) for c, i in rep_index.items()}
+            rep_index[c] = min(samples)
+    member_at = {i: c for c, i in rep_index.items()}
+    covers = {i: empty | analyses.recall_samples(c, s_n) for c, i in rep_index.items()}
 
     if covers:
         chosen = select_indices(covers, universe)
@@ -262,7 +251,7 @@ def solve_from_analyses(
 
     # a member whose own bound misses delta cannot sit in the candidate
     # family; drop it and report the honest (possibly lower) zeta
-    eta = {i: cause_probability_bound(canonicals[i], analyses, beta) for i in chosen}
+    eta = {i: cause_probability_bound(member_at[i], analyses, beta) for i in chosen}
     kept = []
     for i in chosen:
         if eta[i] >= delta if config.geq_filter else eta[i] > delta:
@@ -270,15 +259,15 @@ def solve_from_analyses(
         else:
             log.warning(
                 "dropping member %s: eta below the delta filter",
-                sorted(pmodel.states[s] for s in canonicals[i]),
+                sorted(pmodel.states[s] for s in member_at[i]),
             )
 
     for i in kept:
         rest = frozenset().union(*(covers[j] for j in kept if j != i))
         assert not covers[i] <= rest, "redundant member survived pruning"
 
-    chosen = sorted(kept, key=lambda i: sorted(pmodel.states[s] for s in canonicals[i]))
-    member_sets = [canonicals[i] for i in chosen]
+    chosen = sorted(kept, key=lambda i: sorted(pmodel.states[s] for s in member_at[i]))
+    member_sets = [member_at[i] for i in chosen]
     m_count = recall_sample_count(member_sets, s_n, analyses)
     zeta = tail_root(analyses.n - m_count, analyses.n, beta)
 
@@ -295,8 +284,10 @@ def solve_from_analyses(
         beta=beta,
         n_samples=analyses.n,
         seed=seed,
-        empty_canonical_samples=len(analyses.empty_canonical_samples(s_n)),
+        empty_canonical_samples=len(empty),
         canonical_causes=(
-            tuple(tuple(sorted(names[s] for s in c)) for c in canonicals) if verbose else None
+            tuple(tuple(sorted(names[s] for s in c)) for _, c in sorted(  # in sample order
+                (i, c) for c, samples in zip(canonicals, analyses.samples) for i in samples))
+            if verbose else None
         ),
     )

@@ -4,13 +4,14 @@ NA1/NA2 single-point baselines.
 One analysis per fresh point, queried for every quantity: `fresh_analyses`
 draws the batch and runs `identify`'s own per-sample analysis once on each
 point, and every estimate (F per member, R, R without each member) is the
-size of a union of that batch's memoized sample sets, the ones the bounds
-count.  The points are fresh and the estimates plain fractions, so they
-serve as oracles against the PAC bounds.
+size of a union of that batch's sample sets, the ones the bounds count,
+each answered once per class of equal analyses.  The points are fresh and
+the estimates plain fractions, so they serve as oracles against the PAC
+bounds.
 
 The baselines use the same batch analysis: NA1 analyses a batch of the
-mean point and NA2 one of the support-box vertices, and each reads the
-canonical cause over all states off every point of its batch.
+mean point and NA2 one of the support-box vertices, and each reads one
+canonical cause over all states per class of its batch.
 """
 
 from __future__ import annotations
@@ -130,12 +131,12 @@ def subset_recall_gap(
 
 
 def _canonical_causes(pmodel: ParametricModel, dist: DistSpec, points_of) -> list[frozenset[int]]:
-    """Canonical causes over all states at each of `points_of(dist)`, from
-    one batch analysis."""
+    """Canonical causes over all states at `points_of(dist)`, one per class
+    of the batch analysis, in the order of each class's first point."""
     points = points_of(align_dist(dist, pmodel.param_space.names))
     analyses = analyze_batch(pmodel, SampleBatch(points=np.array(points)))
     every = frozenset(range(pmodel.n_states))
-    return [analyses.canonical(i, every) for i in range(analyses.n)]
+    return [analyses.canonical(a, every) for a in analyses.classes]
 
 
 def mean_point_baseline(pmodel: ParametricModel, dist: DistSpec) -> frozenset[int]:

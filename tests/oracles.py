@@ -16,6 +16,10 @@ singleton causes), the references for the NA1/NA2 baselines and the
 restricted estimators.  `rational_to_concrete` is the float twin of a
 rational MDP, for float-against-exact comparisons.
 
+`from_parametric` (a parametric model at an exact rational point),
+`enabled_actions` and `spec_to_json` are helpers that only tests call, and
+`sample_analyses` reads each sample's analysis back from a batch's classes.
+
 `prob1_max_mask_dense` and `value_iteration_loop` are the value
 iteration's former forms: the prob1 double fixpoint over the dense
 (state, action, successor) support tensor, and the sweep that masks the
@@ -26,12 +30,16 @@ package's edge-list fixpoint and penalty sweep must match them bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from typing import Iterable
 
 import numpy as np
 from scipy import integrate
 
 from sprcause.exact import RationalMDP
-from sprcause.model import ConcreteModel, instantiate, support_graph
+from sprcause.expr import evaluate
+from sprcause.gridworld import GridSpec
+from sprcause.model import ConcreteModel, ModelError, ParametricModel, instantiate, support_graph
 from sprcause.reach import VI_TOL, reachable_avoiding
 from sprcause.sampling import sample
 from sprcause.sprcheck import cause_front, recall_covers, satisfies_minimality, singleton_causes
@@ -60,6 +68,50 @@ def canonical_cause(model: ConcreteModel, restrict=None) -> frozenset[int]:
     """The front of all singleton causes within the given state restriction."""
     causes = singleton_cause_set(model, restrict)
     return cause_front(causes, support_graph(model), model.initial)
+
+
+def from_parametric(pmodel: ParametricModel, point: Iterable[Fraction]) -> RationalMDP:
+    """Instantiate a parametric model at an exact rational point.
+
+    Raises ModelError unless every row is exactly a distribution.  Zero
+    entries are dropped, as in `exact.from_concrete`: a row's keys are its
+    support, and the exact layer's graph steps read them as edges."""
+    point = [Fraction(x) for x in point]
+    if len(point) != pmodel.param_space.dimension:
+        raise ModelError("parameter point has wrong dimension")
+    env = dict(zip(pmodel.param_space.names, point))
+    rows = [[None] * pmodel.n_actions for _ in range(pmodel.n_states)]
+    for s, a in product(range(pmodel.n_states), range(pmodel.n_actions)):
+        exprs = pmodel.transitions[s][a]
+        if exprs is None:
+            continue
+        vals = {t: evaluate(ex, env, Fraction) for t, ex in exprs.items()}
+        if any(v < 0 or v > 1 for v in vals.values()):
+            raise ModelError(f"entry out of [0,1] at ({pmodel.states[s]}, {pmodel.actions[a]})")
+        if sum(vals.values()) != 1:
+            raise ModelError(f"row does not sum to 1 at ({pmodel.states[s]}, {pmodel.actions[a]})")
+        rows[s][a] = {t: v for t, v in vals.items() if v != 0}
+    return RationalMDP(pmodel.n_states, tuple(map(tuple, rows)), pmodel.initial)
+
+
+def enabled_actions(pmodel: ParametricModel, s: int) -> tuple[int, ...]:
+    return tuple(a for a, row in enumerate(pmodel.transitions[s]) if row is not None)
+
+
+def spec_to_json(spec: GridSpec) -> dict:
+    return {
+        "width": spec.width,
+        "height": spec.height,
+        "start": list(spec.start),
+        "obstacles": sorted(list(c) for c in spec.obstacles),
+        "red": sorted(list(c) for c in spec.red),
+        "risky": [{"cell": list(c), "param": p} for c, p in sorted(spec.risky.items())],
+        "careful": sorted(list(c) for c in spec.careful),
+        "one_way": [
+            {"cell": list(c), "actions": list(a)} for c, a in sorted(spec.one_way.items())
+        ],
+        "slip": spec.slip,
+    }
 
 
 def rational_to_concrete(mdp: RationalMDP, effect) -> ConcreteModel:
@@ -323,6 +375,15 @@ def exists_path_via_per_via(graph, start, via, target, avoid) -> bool:
         v in first_leg and bool(reachable_avoiding(graph, v, avoid) & targets)
         for v in set(via) - avoid
     )
+
+
+def sample_analyses(batch) -> list:
+    """Each sample's analysis, read back from an `AnalysisBatch`'s classes."""
+    out = [None] * batch.n
+    for analysis, samples in zip(batch.classes, batch.samples):
+        for i in samples:
+            out[i] = analysis
+    return out
 
 
 def recall_optimal_reference(analysis, initial, effect, member, canonical, restrict) -> bool:

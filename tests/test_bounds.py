@@ -1,10 +1,24 @@
+import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import rational_tail_root
+from oracles import (
+    cause_front_per_member,
+    minimality_per_member,
+    random_layered_mdp,
+    rational_tail_root,
+    rational_to_concrete,
+    recall_optimal_reference,
+    singleton_cause_set,
+)
+from sprcause import bounds
 from sprcause.bounds import (
+    AnalysisBatch,
+    SampleAnalysis,
     binomial_cdf,
     cause_probability_bound,
     cause_sample_count,
@@ -12,6 +26,7 @@ from sprcause.bounds import (
     recall_sample_count,
     tail_root,
 )
+from sprcause.model import Graph, support_graph
 from sprcause.sampling import sample
 from sprcause.solver import analyze_batch, filter_states
 
@@ -143,3 +158,68 @@ def test_partial_cover_matches_oracle(example_model, example_batch):
     got = recall_probability_bound([{s1, s3}], s_n, analyses, 0.99)
     want = rational_tail_root(analyses.n - count, analyses.n, Fraction(99, 100))
     assert abs(got - float(want)) <= 1e-9
+
+
+# --- class-level answers against per-sample references -----------------------
+
+@st.composite
+def _layered_batches(draw):
+    """Per-sample analyses of 1-4 random layered MDPs with one state count,
+    drawn with repeats; equal analyses arrive as distinct objects."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_states, size = draw(st.integers(4, 5)), draw(st.integers(1, 4))
+    pool = []
+    while len(pool) < size:
+        mdp, effect = random_layered_mdp(rng, max_states=5)
+        if mdp.n_states == n_states:
+            concrete = rational_to_concrete(mdp, effect)
+            pool.append((singleton_cause_set(concrete), support_graph(concrete).succ))
+    picks = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=30))
+    per_sample = [SampleAnalysis(pool[j][0], Graph(n_states, pool[j][1])) for j in picks]
+    restrict = draw(st.frozensets(st.integers(0, n_states - 2)))
+    return frozenset({n_states - 1}), per_sample, restrict
+
+
+@settings(max_examples=150, deadline=None)
+@given(_layered_batches())
+def test_class_answers_match_per_sample_references(case):
+    effect, per_sample, restrict = case
+    n = len(per_sample)
+    batch = AnalysisBatch.of(0, effect, per_sample)
+
+    # equal analyses share one class, classes come in first-sample order, and
+    # the classes' samples partition range(N)
+    assert batch.classes == tuple(dict.fromkeys(per_sample))
+    assert batch.samples == tuple(
+        frozenset(i for i, a in enumerate(per_sample) if a == c) for c in batch.classes)
+    assert batch.n == n and sorted(i for s in batch.samples for i in s) == list(range(n))
+
+    canonicals = [cause_front_per_member(a.cause_states & restrict, a.graph, 0) for a in per_sample]
+    assert [batch.canonical(a, restrict) for a in per_sample] == canonicals
+    assert batch.empty_canonical_samples(restrict) == frozenset(
+        i for i, c in enumerate(canonicals) if not c)
+
+    def reference(member, i):
+        return recall_optimal_reference(
+            per_sample[i], 0, effect, member, canonicals[i], restrict)
+
+    states = range(per_sample[0].graph.n - 1)
+    subsets = [frozenset(c) for r in range(1, len(states) + 1)
+               for c in itertools.combinations(states, r)]
+    for cause in subsets:
+        with mock.patch.object(bounds, "satisfies_minimality",
+                               wraps=bounds.satisfies_minimality) as spy:
+            got = batch.cause_samples(cause)
+        assert spy.call_count <= len(batch.classes)
+        assert got == frozenset(
+            i for i, a in enumerate(per_sample)
+            if cause <= a.cause_states and minimality_per_member(a.graph, 0, cause))
+        with mock.patch.object(bounds, "recall_optimal", wraps=bounds.recall_optimal) as spy:
+            got = batch.recall_samples(cause, restrict)
+        assert spy.call_count == len(batch.classes)
+        assert got == frozenset(i for i in range(n) if reference(cause, i))
+
+    nonempty = sorted({c for c in canonicals if c}, key=sorted)
+    for collection in ([], nonempty, subsets[:len(states)]):
+        assert recall_sample_count(collection, restrict, batch) == sum(
+            1 for i in range(n) if not canonicals[i] or any(reference(m, i) for m in collection))

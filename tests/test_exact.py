@@ -7,13 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import fraction_optimal_successors, fraction_solve_linear, random_rational_mdp
+from oracles import (
+    fraction_optimal_successors,
+    fraction_solve_linear,
+    from_parametric,
+    random_rational_mdp,
+)
 from sprcause.exact import (
     RationalMDP,
     _solve_bareiss,
     exact_reach,
     from_concrete,
-    from_parametric,
     optimal_successors,
 )
 from sprcause.model import ModelError, instantiate, parse_model

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import canonical_cause
+from oracles import canonical_cause, spec_to_json
 from sprcause.gridworld import (
     GridError,
     GridSpec,
@@ -11,7 +11,6 @@ from sprcause.gridworld import (
     generate,
     parse_cell_name,
     spec_from_json,
-    spec_to_json,
 )
 from sprcause.model import instantiate
 from sprcause.sampling import sample

@@ -1,23 +1,32 @@
+import hashlib
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from oracles import path_cover_holds, recall_optimal_reference
+from oracles import (
+    path_cover_holds,
+    recall_optimal_reference,
+    sample_analyses,
+    singleton_cause_set,
+)
 from sprcause import bounds, fixtures, solver
-from sprcause.bounds import recall_sample_count
+from sprcause.bounds import SampleAnalysis, recall_sample_count
+from sprcause.cli import main
 from sprcause.exact import from_concrete
-from sprcause.model import instantiate
-from sprcause.sampling import SampleBatch, parse_dist, sample
+from sprcause.model import instantiate, support_graph
+from sprcause.sampling import SampleBatch, align_dist, parse_dist, sample
 from sprcause.sprcheck import single_state_verdict_exact, singleton_causes
 from sprcause.solver import (
     SolveConfig,
     analyze_batch,
-    cover_of,
     filter_states,
     select_indices,
     solve,
+    solve_from_analyses,
 )
 
 
@@ -56,11 +65,28 @@ def test_geq_filter_is_weaker(example_model, example_dist):
     assert example_model.state_index("s4") in geq
 
 
+def test_analyze_batch_groups_equal_analyses_by_first_sample(example_model, example_dist):
+    points = sample(example_dist, 40, seed=3).points
+    points = np.vstack([points, points[::-3]])  # repeated points as well as equal analyses
+    analyses = analyze_batch(example_model, SampleBatch(points=points))
+    per_point = [
+        SampleAnalysis(singleton_cause_set(c), support_graph(c))
+        for c in (instantiate(example_model, p) for p in points)
+    ]
+    assert 1 < len(analyses.classes) < len(points)
+    assert analyses.classes == tuple(dict.fromkeys(per_point))
+    assert analyses.samples == tuple(
+        frozenset(i for i, a in enumerate(per_point) if a == c) for c in analyses.classes)
+    assert sorted(i for s in analyses.samples for i in s) == list(range(len(points)))
+
+
 def test_cover_set_single_sample(example_model, example_dist):
     batch = sample(example_dist, 1, seed=5)
     analyses = analyze_batch(example_model, batch)
     s_n = filter_states(analyses, 0.0, 0.99)
-    assert cover_of(analyses.canonical(0, s_n), analyses, s_n) == frozenset({0})
+    member = analyses.canonical(analyses.classes[0], s_n)
+    cover = analyses.empty_canonical_samples(s_n) | analyses.recall_samples(member, s_n)
+    assert cover == frozenset({0})
 
 
 def test_cover_set_point_mass_sample_covers_all(example_model, example_dist):
@@ -70,7 +96,9 @@ def test_cover_set_point_mass_sample_covers_all(example_model, example_dist):
     tie = next(
         i for i, p in enumerate(batch.points) if p[0] == 0.5 and p[1] == 0.5
     )
-    assert cover_of(analyses.canonical(tie, s_n), analyses, s_n) == frozenset(range(300))
+    member = analyses.canonical(sample_analyses(analyses)[tie], s_n)
+    cover = analyses.empty_canonical_samples(s_n) | analyses.recall_samples(member, s_n)
+    assert cover == frozenset(range(300))
 
 
 def _oracle_minimality(succ, start, member) -> bool:
@@ -88,11 +116,13 @@ def test_cover_set_matches_path_enumeration_oracle(example_model, example_dist):
     batch = sample(example_dist, 60, seed=7)
     analyses = analyze_batch(example_model, batch)
     s_n = filter_states(analyses, 0.0, 0.99)
+    per_sample = sample_analyses(analyses)
+    empty = analyses.empty_canonical_samples(s_n)
     for i in (0, 1, 2):
-        member = analyses.canonical(i, s_n)
-        got = cover_of(member, analyses, s_n)
-        for j, a in enumerate(analyses.analyses):
-            canonical_j = analyses.canonical(j, s_n)
+        member = analyses.canonical(per_sample[i], s_n)
+        got = empty | analyses.recall_samples(member, s_n)
+        for j, a in enumerate(per_sample):
+            canonical_j = analyses.canonical(a, s_n)
             if not canonical_j:
                 want = True
             else:
@@ -116,23 +146,24 @@ def test_recall_predicate_matches_the_inline_reference(name, dist_name, n):
     pmodel, dist = fixtures.builtin_model(name), fixtures.builtin_dist(dist_name)
     analyses = analyze_batch(pmodel, sample(dist, n, seed=11))
     s_n = filter_states(analyses, 0.0, 0.99)
-    canonicals = [analyses.canonical(i, s_n) for i in range(analyses.n)]
+    per_sample = sample_analyses(analyses)
+    canonicals = [analyses.canonical(a, s_n) for a in per_sample]
 
     def reference(member, j):
         return recall_optimal_reference(
-            analyses.analyses[j], analyses.initial, analyses.effect, member, canonicals[j], s_n
+            per_sample[j], analyses.initial, analyses.effect, member, canonicals[j], s_n
         )
 
     # the solver builds one cover set per distinct nonempty canonical cause
-    first = {c: i for i, c in reversed(list(enumerate(canonicals))) if c}
-    members = sorted(first, key=sorted)
+    members = sorted({c for c in canonicals if c}, key=sorted)
     assert members
     for member in members:
         want = frozenset(
             j for j in range(analyses.n) if not canonicals[j] or reference(member, j)
         )
-        assert cover_of(analyses.canonical(first[member], s_n), analyses, s_n) == want
-    every_cause = [a.cause_states & s_n for a in analyses.analyses[:3]]
+        got = analyses.empty_canonical_samples(s_n) | analyses.recall_samples(member, s_n)
+        assert got == want
+    every_cause = [a.cause_states & s_n for a in per_sample[:3]]
     for collection in ([], members[:1], members, every_cause):
         want = sum(
             1 for j in range(analyses.n)
@@ -141,24 +172,33 @@ def test_recall_predicate_matches_the_inline_reference(name, dist_name, n):
         assert recall_sample_count(collection, s_n, analyses) == want
 
 
-# one evaluation per (distinct canonical cause, sample); both runs have 3 causes
+# the cover sets evaluate each distinct canonical cause once per class, and
+# the final count m each member once more per class: 3 causes and 3 classes
+# in both runs, with 1 member (example) and 3 members (grid-a)
 @pytest.mark.parametrize("name, dist_name, n, delta, evaluations", [
-    ("example", "example", 1000, 0.0, 3000),
-    ("grid-a", "grid", 100, 0.001, 300),
+    ("example", "example", 1000, 0.0, 12),
+    ("grid-a", "grid", 100, 0.001, 18),
 ])
 def test_solve_evaluates_recall_optimal_once_per_member_and_sample(
     name, dist_name, n, delta, evaluations, monkeypatch
 ):
+    pmodel = fixtures.builtin_model(name)
+    dist = align_dist(fixtures.builtin_dist(dist_name), pmodel.param_space.names)
+    analyses = analyze_batch(pmodel, sample(dist, n, seed=0))
     calls = []
     original = bounds.recall_optimal
 
-    def spy(member, batch, index, restrict):
-        calls.append((member, index))
-        return original(member, batch, index, restrict)
+    def spy(member, batch, analysis, restrict):
+        calls.append((member, analysis))
+        return original(member, batch, analysis, restrict)
 
     monkeypatch.setattr(bounds, "recall_optimal", spy)
-    solve(fixtures.builtin_model(name), fixtures.builtin_dist(dist_name), n, delta, 0.99, seed=0)
-    assert len(calls) == len(set(calls)) == evaluations
+    solution = solve_from_analyses(pmodel, analyses, delta, 0.99, seed=0)
+    s_n = filter_states(analyses, delta, 0.99)
+    causes = {analyses.canonical(a, s_n) for a in analyses.classes} - {frozenset()}
+    classes = len(analyses.classes)
+    assert len(calls) == evaluations == (len(causes) + len(solution.members)) * classes
+    assert len(calls) <= 2 * len(causes) * classes
 
 
 def test_exact_over_the_state_cap_warns_once(grid_model_a, grid_dist, caplog):
@@ -191,7 +231,7 @@ def test_exact_corners_skip_the_initial_state(example_model, example_dist, monke
     assert calls and example_model.initial not in calls
 
     # reference: re-decide every corner exactly, the initial state's included
-    for point, analysis in zip(points, analyses.analyses):
+    for point, analysis in zip(points, sample_analyses(analyses)):
         concrete = instantiate(example_model, point)
         verdicts = singleton_causes(concrete)
         assert verdicts[concrete.initial].branch.startswith("corner")
@@ -311,8 +351,7 @@ def test_pc2_surrogate_proper_subsets_lose_coverage(example_model, example_dist)
     s_n = filter_states(analyses, 0.0, 0.99) - {
         example_model.state_index("s3")
     }
-    canonicals = [analyses.canonical(i, s_n) for i in range(analyses.n)]
-    distinct = {c for c in canonicals if c}
+    distinct = {c for c in (analyses.canonical(a, s_n) for a in analyses.classes) if c}
     full = recall_sample_count(distinct, s_n, analyses)
     for drop in distinct:
         rest = [c for c in distinct if c != drop]
@@ -342,3 +381,50 @@ def test_solution_json_shape(example_model, example_dist):
     ]
     assert doc["N"] == 30 and doc["seed"] == 14
     assert len(doc["canonical_causes"]) == 30
+
+
+GRID_SOLUTION = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "data" / "grid-a-N100-delta0.001.solution.json"
+)
+
+# SHA-256 over every query of four seeded batches (seed 0): each sample's
+# canonical cause over S_N, the empty-canonical samples, cause_samples({c})
+# for every state, recall_samples of every distinct canonical cause, and
+# the verbose solution (n and m included); then the `validate` rows of the
+# grid-a job seeds 5008 and 19004.  A change to how the batch answers its
+# queries must keep this digest.
+BATCH_DIGEST = "be3221abb3234310d981a79fc69e4160509e9592bfe113ea2e93e70de077ca9b"
+
+
+def test_batch_digest_is_pinned():
+    digest = hashlib.sha256()
+    for name, dist_name, n, delta, config in (
+        ("example", "example", 1000, 0.0, SolveConfig(exact_corners=True)),
+        ("appendix-e", "appendix-e", 1000, 0.1, SolveConfig()),
+        ("grid-a", "grid", 100, 0.001, SolveConfig()),
+        ("grid-b", "grid", 100, 0.001, SolveConfig()),
+    ):
+        pmodel = fixtures.builtin_model(name)
+        dist = align_dist(fixtures.builtin_dist(dist_name), pmodel.param_space.names)
+        analyses = analyze_batch(pmodel, sample(dist, n, seed=0), config)
+        s_n = filter_states(analyses, delta, 0.99)
+        canonicals = [analyses.canonical(a, s_n) for a in sample_analyses(analyses)]
+        queries = (
+            sorted(s_n),
+            [sorted(c) for c in canonicals],
+            sorted(analyses.empty_canonical_samples(s_n)),
+            [sorted(analyses.cause_samples(frozenset({c}))) for c in range(pmodel.n_states)],
+            [(sorted(c), sorted(analyses.recall_samples(c, s_n)))
+             for c in sorted(set(canonicals), key=sorted)],
+        )
+        digest.update(repr(queries).encode())
+        solution = solve_from_analyses(pmodel, analyses, delta, 0.99, 0, config, verbose=True)
+        digest.update(solution.to_json().encode())
+    for seed in (5008, 19004):
+        result = CliRunner().invoke(main, [
+            "validate", "--model", "grid-a", "--dist", "grid", "--solution", str(GRID_SOLUTION),
+            "-M", "50", "--seed", str(seed),
+        ])
+        assert result.exit_code == 0, result.output
+        digest.update(result.output.encode())
+    assert digest.hexdigest() == BATCH_DIGEST

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     canonical_cause,
+    from_parametric,
     is_spr_cause,
     random_layered_mdp,
     random_rational_mdp,
@@ -14,7 +15,7 @@ from oracles import (
     singleton_cause_set,
 )
 from sprcause import fixtures
-from sprcause.exact import exact_reach, from_concrete, from_parametric
+from sprcause.exact import exact_reach, from_concrete
 from sprcause.model import instantiate, parse_model, support_graph
 from sprcause.sampling import align_dist, sample
 from sprcause.sprcheck import (

@@ -11,6 +11,7 @@ from oracles import (
     restricted_cause_fraction,
     restricted_recall_fraction,
     restricted_recall_indicator,
+    sample_analyses,
 )
 from sprcause import fixtures
 from sprcause.bounds import recall_optimal
@@ -206,8 +207,8 @@ def _missed_points(pmodel, dist, seed):
     s_n = frozenset(pmodel.state_index(s) for s in doc["S_N"])
     analyses = fresh_analyses(pmodel, dist, 50, seed)
     missed = [
-        i for i in range(analyses.n)
-        if not any(recall_optimal(m, analyses, i, s_n) for m in members)
+        i for i, a in enumerate(sample_analyses(analyses))
+        if not any(recall_optimal(m, analyses, a, s_n) for m in members)
     ]
     points = sample(align_dist(dist, pmodel.param_space.names), 50, seed).points
     for i in missed:
@@ -223,7 +224,7 @@ def test_grid_validate_seed_5008_misses_one_point(grid_model_a, grid_dist):
     missed, analyses, points, s_n = _missed_points(grid_model_a, grid_dist, 5008)
     assert missed == [44]
     assert np.allclose(points[44], (0.879, 0.542, 0.507), atol=5e-4)
-    canonical = analyses.canonical(44, s_n)
+    canonical = analyses.canonical(sample_analyses(analyses)[44], s_n)
     assert sorted(grid_model_a.states[s] for s in canonical) == ["c6_5", "c7_7"]
 
 
