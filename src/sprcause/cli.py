@@ -29,26 +29,17 @@ from .validate import Estimate, fresh_analyses, mean_point_baseline, recall_gap,
 click.UsageError.exit_code = 1
 
 
-def _load_model(ref: str):
-    if ref in fixtures.builtin_model_names():
-        return fixtures.builtin_model(ref)
+def _load(kind: str, ref: str):
+    """The model or distribution (`kind`) that `ref` names: a builtin or a file."""
+    model = kind == "model"
+    if ref in (fixtures.builtin_model_names() if model else fixtures.builtin_dist_names()):
+        return (fixtures.builtin_model if model else fixtures.builtin_dist)(ref)
     try:
-        return load_model(ref)
+        return (load_model if model else load_dist)(ref)
     except FileNotFoundError:
-        raise click.UsageError(f"model {ref!r}: no such file or builtin name")
-    except ModelError as e:
-        raise click.UsageError(f"model {ref!r}: {e}")
-
-
-def _load_dist(ref: str):
-    if ref in fixtures.builtin_dist_names():
-        return fixtures.builtin_dist(ref)
-    try:
-        return load_dist(ref)
-    except FileNotFoundError:
-        raise click.UsageError(f"distribution {ref!r}: no such file or builtin name")
-    except DistError as e:
-        raise click.UsageError(f"distribution {ref!r}: {e}")
+        raise click.UsageError(f"{kind} {ref!r}: no such file or builtin name")
+    except (ModelError, DistError) as e:
+        raise click.UsageError(f"{kind} {ref!r}: {e}")
 
 
 def _write(out: str | None, text: str):
@@ -81,8 +72,8 @@ def main():
 def identify(model_ref, dist_ref, n_samples, delta, beta, seed, workers, out, exact,
              geq_filter, verbose):
     """Identify probable cause sets with PAC lower bounds."""
-    pmodel = _load_model(model_ref)
-    dist = _load_dist(dist_ref)
+    pmodel = _load("model", model_ref)
+    dist = _load("distribution", dist_ref)
     config = SolveConfig(
         geq_filter=geq_filter,
         exact_corners=exact,
@@ -116,7 +107,7 @@ def identify(model_ref, dist_ref, n_samples, delta, beta, seed, workers, out, ex
 @click.argument("cause_states", nargs=-1, required=True)
 def check(model_ref, point_str, exact, cause_states):
     """Check whether a state set is an SPR cause at a concrete point."""
-    pmodel = _load_model(model_ref)
+    pmodel = _load("model", model_ref)
     try:
         point = [float(x) for x in point_str.split(",")]
         concrete = instantiate(pmodel, point)
@@ -155,8 +146,8 @@ def check(model_ref, point_str, exact, cause_states):
               help="with k>1, emit (N, quantity, mean, sd) rows over k seeded estimates")
 def validate(model_ref, dist_ref, solution_path, n_samples, seed, out, repeat):
     """Monte-Carlo estimates of the cause and recall probabilities of a solution."""
-    pmodel = _load_model(model_ref)
-    dist = _load_dist(dist_ref)
+    pmodel = _load("model", model_ref)
+    dist = _load("distribution", dist_ref)
     members, candidates, n_solution = _read_solution(solution_path, pmodel, repeat > 1)
 
     def quantities(run_seed: int) -> list[tuple[str, float]]:
@@ -262,44 +253,25 @@ def gridworld_dist(out):
     _write(out, fixtures.builtin_dist_text("grid"))
 
 
-@main.group()
-def baseline():
-    """Single-point baselines for comparison runs."""
+@main.command(no_args_is_help=True)
+@click.argument("kind", type=click.Choice(["na1", "na2"]))
+@click.option("--model", "model_ref", required=True)
+@click.option("--dist", "dist_ref", required=True)
+@click.option("--out", default=None)
+def baseline(kind, model_ref, dist_ref, out):
+    """Single-point baselines for comparison runs.
 
-
-def _print_baseline(sets, pmodel, out):
+    na1: the canonical cause at the mean parameter point.  na2: the canonical
+    causes at the support-box vertices, deduplicated.
+    """
+    pmodel = _load("model", model_ref)
+    dist = _load("distribution", dist_ref)
+    try:
+        sets = [mean_point_baseline(pmodel, dist)] if kind == "na1" else vertex_baseline(pmodel, dist)
+    except ValueError as e:
+        raise click.UsageError(str(e))
     lines = [json.dumps(sorted(pmodel.states[s] for s in c)) for c in sets]
     _write(out, "\n".join(lines) + "\n")
-
-
-@baseline.command()
-@click.option("--model", "model_ref", required=True)
-@click.option("--dist", "dist_ref", required=True)
-@click.option("--out", default=None)
-def na1(model_ref, dist_ref, out):
-    """Canonical cause at the mean parameter point."""
-    pmodel = _load_model(model_ref)
-    dist = _load_dist(dist_ref)
-    try:
-        sets = [mean_point_baseline(pmodel, dist)]
-    except ValueError as e:
-        raise click.UsageError(str(e))
-    _print_baseline(sets, pmodel, out)
-
-
-@baseline.command()
-@click.option("--model", "model_ref", required=True)
-@click.option("--dist", "dist_ref", required=True)
-@click.option("--out", default=None)
-def na2(model_ref, dist_ref, out):
-    """Canonical causes at the support-box vertices, deduplicated."""
-    pmodel = _load_model(model_ref)
-    dist = _load_dist(dist_ref)
-    try:
-        sets = vertex_baseline(pmodel, dist)
-    except ValueError as e:
-        raise click.UsageError(str(e))
-    _print_baseline(sets, pmodel, out)
 
 
 if __name__ == "__main__":

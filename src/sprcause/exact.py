@@ -28,7 +28,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from .model import ConcreteModel
+from .model import ConcreteModel, Graph
+from .reach import reachable_avoiding
 
 
 @dataclass(frozen=True)
@@ -128,20 +129,14 @@ def _evaluate(
     """Exact reach probabilities of the policy's chain, as (nums, det) with
     value_s = nums[s] / det; `zero` states pinned."""
     n = mdp.n_states
-    # states that can reach the target in this chain; the rest stay 0
-    succ: list[set[int]] = [set() for _ in range(n)]
+    # states that can reach the target in this chain, by one backward search
+    # from it; the rest stay 0
+    pred: list[set[int]] = [set() for _ in range(n)]
     for s in range(n):
-        if s in target or s in zero or policy[s] < 0:
-            continue
-        succ[s] = set(mdp.rows[s][policy[s]])
-    can = set(target)
-    changed = True
-    while changed:
-        changed = False
-        for s in range(n):
-            if s not in can and succ[s] & can:
-                can.add(s)
-                changed = True
+        if s not in target and s not in zero and policy[s] >= 0:
+            for t in mdp.rows[s][policy[s]]:
+                pred[t].add(s)
+    can = reachable_avoiding(Graph(n, tuple(pred)), target, ())
     unknown = [s for s in range(n) if s in can and s not in target and s not in zero]
     nums, det = [0] * n, 1
     if unknown:

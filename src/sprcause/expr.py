@@ -41,9 +41,6 @@ class ParamSpace:
     def dimension(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
 
 # --- AST -----------------------------------------------------------------
 
@@ -211,4 +208,7 @@ def parse_expr(text: str, params: ParamSpace) -> Expr:
     """Parse an arithmetic expression; identifiers must be declared in params."""
     if not text or not text.strip():
         raise ExprError("empty expression")
-    return _Parser(text, params).parse()
+    try:
+        return _Parser(text, params).parse()
+    except RecursionError:
+        raise ExprError("expression nested too deeply") from None

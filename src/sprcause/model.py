@@ -204,7 +204,7 @@ def instantiate(model: ParametricModel, point: Sequence[float]) -> ConcreteModel
     entry further than ENTRY_TOL outside [0,1], or a row sum off by more
     than ROW_SUM_TOL.  Entries within tolerance are clamped to [0,1].
     Also raises it, before evaluating any expression, when the dense tensor would
-    exceed MAX_DENSE_BYTES.
+    exceed MAX_DENSE_BYTES, and on an expression nested too deeply to evaluate.
     """
     if len(point) != model.param_space.dimension:
         raise ModelError(
@@ -222,7 +222,12 @@ def instantiate(model: ParametricModel, point: Sequence[float]) -> ConcreteModel
             enabled[s, a] = True
             total = 0.0
             for t, ex in row.items():
-                v = evaluate(ex, env)
+                try:
+                    v = evaluate(ex, env)
+                except RecursionError:
+                    raise ModelError(
+                        f"expression too deep to evaluate at ({model.states[s]}, {model.actions[a]})"
+                    ) from None
                 if v < -ENTRY_TOL or v > 1.0 + ENTRY_TOL:
                     raise ModelError(
                         f"entry {v!r} out of [0,1] at ({model.states[s]}, {model.actions[a]})"

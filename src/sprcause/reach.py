@@ -30,7 +30,8 @@ follows runs the same float operations.  Samples of one parametric model
 usually share their support (every sample of the builtin models does), so
 each pivot's modified model (one entry per class of w_c: 0, 1 or in
 between) computes its mask once.  The cached arrays are read-only, and the
-cache is cleared when it reaches MASK_CACHE_MAX entries.  A miss runs the
+cache is cleared when its key bytes would pass `model.MAX_DENSE_BYTES`, the
+memory bound of one dense tensor.  A miss runs the
 double fixpoint on the support's edge list (s, a, t), not on the dense
 (S, A, S) tensor: an inner step adds every s with an edge into the
 growing set whose pair (s, a) is enabled and has no edge leaving the
@@ -53,15 +54,16 @@ from typing import Iterable
 
 import numpy as np
 
+from . import model as model_mod
 from .model import ConcreteModel, Graph
 
 # fixed, not options: stopping residual, optimal-action slack, sweep cap
 VI_TOL = 1e-10
 KAPPA_ACT = 1e-7
 MAX_SWEEPS = 10**6
-MASK_CACHE_MAX = 4096
 
 _MASK_CACHE: dict[tuple, np.ndarray] = {}
+_mask_cache_bytes = 0  # the key bytes held in _MASK_CACHE
 
 
 class IterationLimitError(RuntimeError):
@@ -70,8 +72,6 @@ class IterationLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class ReachValues:
-    objective: str  # "min" | "max"
-    target: frozenset[int]
     values: np.ndarray
     residual: float
     sweeps: int
@@ -129,15 +129,19 @@ def _prob1_max_mask(pos: np.ndarray, enabled: np.ndarray, tgt: np.ndarray) -> np
 
 def _prob1_max_cached(pos: np.ndarray, enabled: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     """The max objective's prob1 mask, cached by the boolean support."""
+    global _mask_cache_bytes
     n, m = enabled.shape
     key = (n, m, np.packbits(pos).tobytes(), enabled.tobytes(), tgt.tobytes())
     mask = _MASK_CACHE.get(key)
     if mask is None:
         mask = _prob1_max_mask(pos, enabled, tgt)
         mask.setflags(write=False)
-        if len(_MASK_CACHE) >= MASK_CACHE_MAX:
+        size = sum(map(len, key[2:]))
+        if _mask_cache_bytes + size > model_mod.MAX_DENSE_BYTES:
             _MASK_CACHE.clear()
+            _mask_cache_bytes = 0
         _MASK_CACHE[key] = mask
+        _mask_cache_bytes += size
     return mask
 
 
@@ -187,8 +191,6 @@ def _value_iteration(
 
     v = np.clip(v, 0.0, 1.0)
     return ReachValues(
-        objective=objective,
-        target=frozenset(target),
         values=v,
         residual=residual,
         sweeps=sweeps,

@@ -7,18 +7,19 @@ canonical cause over those states, build the per-sample cover sets, pick
 an irredundant index set greedily, and attach the PAC bounds.
 
 Everything is deterministic given (model, distribution, N, delta, beta,
-seed); worker count only changes scheduling, never results.
+seed); worker count only changes scheduling, never results: the distinct
+points go out in chunks of ceil(points / workers), one process per chunk.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
+from functools import partial
 
 from .bounds import (
     AnalysisBatch,
@@ -112,11 +113,6 @@ def _analyze_point(
     return SampleAnalysis(cause_states=causes, graph=support_graph(concrete))
 
 
-def _analyze_chunk(args) -> list[SampleAnalysis]:
-    pmodel, points, config = args
-    return [_analyze_point(pmodel, tuple(p), config) for p in points]
-
-
 def analyze_batch(
     pmodel: ParametricModel, batch: SampleBatch, config: SolveConfig = SolveConfig()
 ) -> AnalysisBatch:
@@ -129,17 +125,16 @@ def analyze_batch(
         )
     points = [tuple(float(x) for x in p) for p in batch.points]
     distinct = sorted(set(points))
-    # one process per chunk, never more than there are points or usable CPUs
-    n_chunks = min(config.workers, len(distinct), usable_cpus())
-    if n_chunks > 1:
-        chunks = np.array_split(np.arange(len(distinct)), n_chunks)
-        jobs = [(pmodel, [distinct[i] for i in chunk], config) for chunk in chunks]
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            results = list(pool.map(_analyze_chunk, jobs))
-        flat = [a for part in results for a in part]
+    analyze = partial(_analyze_point, pmodel, config=config)
+    workers = min(config.workers, len(distinct), usable_cpus())
+    if workers > 1:
+        # a pool starts all its processes at once: one per chunk, not per worker
+        chunksize = math.ceil(len(distinct) / workers)
+        with ProcessPoolExecutor(max_workers=math.ceil(len(distinct) / chunksize)) as pool:
+            results = list(pool.map(analyze, distinct, chunksize=chunksize))
     else:
-        flat = _analyze_chunk((pmodel, distinct, config))
-    by_point = dict(zip(distinct, flat))
+        results = list(map(analyze, distinct))
+    by_point = dict(zip(distinct, results))
     return AnalysisBatch.of(pmodel.initial, pmodel.effect, (by_point[p] for p in points))
 
 
@@ -167,33 +162,25 @@ def select_indices(cover_sets: dict[int, frozenset[int]], universe: frozenset[in
 
     Ties go to the larger cover set, then the smaller index.  Raises when
     the sets cannot cover the universe (impossible with self-coverage).
+    One ascending prune suffices: dropping a member only shrinks the union
+    of the others, so a member kept earlier stays irredundant.
     """
     chosen: list[int] = []
     covered: set[int] = set()
     remaining = dict(cover_sets)
     while covered < universe:
-        best = None
-        best_key = None
-        for i in sorted(remaining):
-            gain = len(remaining[i] - covered)
-            key = (gain, len(remaining[i]), -i)
-            if best_key is None or key > best_key:
-                best, best_key = i, key
-        if best is None or best_key[0] == 0:
+        best = max(remaining, default=None,
+                   key=lambda i: (len(remaining[i] - covered), len(remaining[i]), -i))
+        if best is None or remaining[best] <= covered:
             raise AssertionError("cover sets cannot cover all samples")
         chosen.append(best)
         covered |= remaining.pop(best)
 
-    pruned = True
-    while pruned:
-        pruned = False
-        for i in sorted(chosen):
-            rest = set().union(*(cover_sets[j] for j in chosen if j != i)) if len(chosen) > 1 else set()
-            if cover_sets[i] <= rest:
-                chosen.remove(i)
-                pruned = True
-                break
-    return sorted(chosen)
+    kept = sorted(chosen)
+    for i in sorted(chosen):
+        if cover_sets[i] <= set().union(*(cover_sets[j] for j in kept if j != i)):
+            kept.remove(i)
+    return kept
 
 
 def solve(

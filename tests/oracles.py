@@ -20,6 +20,10 @@ rational MDP, for float-against-exact comparisons.
 `enabled_actions` and `spec_to_json` are helpers that only tests call, and
 `sample_analyses` reads each sample's analysis back from a batch's classes.
 
+`select_indices_reference` is the greedy cover's former form, which
+rescans the index order for each pick and restarts its prune after every
+drop; the package takes the builtin `max` and prunes in one pass.
+
 `prob1_max_mask_dense` and `value_iteration_loop` are the value
 iteration's former forms: the prob1 double fixpoint over the dense
 (state, action, successor) support tensor, and the sweep that masks the
@@ -464,3 +468,33 @@ def fraction_optimal_successors(mdp: RationalMDP, values: list[Fraction]) -> lis
                 targets |= set(row)
         succ.append(frozenset(targets))
     return succ
+
+
+def select_indices_reference(cover_sets: dict[int, frozenset[int]], universe: frozenset[int]) -> list[int]:
+    """The former `solver.select_indices`: greedy cover, then prune with a restart."""
+    chosen: list[int] = []
+    covered: set[int] = set()
+    remaining = dict(cover_sets)
+    while covered < universe:
+        best = None
+        best_key = None
+        for i in sorted(remaining):
+            gain = len(remaining[i] - covered)
+            key = (gain, len(remaining[i]), -i)
+            if best_key is None or key > best_key:
+                best, best_key = i, key
+        if best is None or best_key[0] == 0:
+            raise AssertionError("cover sets cannot cover all samples")
+        chosen.append(best)
+        covered |= remaining.pop(best)
+
+    pruned = True
+    while pruned:
+        pruned = False
+        for i in sorted(chosen):
+            rest = set().union(*(cover_sets[j] for j in chosen if j != i)) if len(chosen) > 1 else set()
+            if cover_sets[i] <= rest:
+                chosen.remove(i)
+                pruned = True
+                break
+    return sorted(chosen)

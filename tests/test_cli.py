@@ -176,6 +176,25 @@ def test_malformed_input_file_is_a_usage_error(runner, tmp_path, flag, doc, mess
     assert "Traceback" not in result.output
 
 
+def test_a_model_nested_too_deeply_is_a_usage_error(runner, tmp_path):
+    from sprcause.model import model_to_json
+
+    doc = model_to_json(fixtures.builtin_model("example"))
+    doc["transitions"][5]["prob"] = "(" * 400 + "p" + ")" * 400
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["identify", "--model", str(path), "--dist", "example", "-N", "5"])
+    assert result.exit_code == 1
+    assert "transition s1-a->s3: expression nested too deeply" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_unknown_baseline_is_a_usage_error(runner):
+    result = runner.invoke(main, ["baseline", "na3", "--model", "example", "--dist", "example"])
+    assert result.exit_code == 1
+    assert "'na3' is not one of 'na1', 'na2'" in result.output
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "--model", "example", "--dist", "example", "--solution", "SOLUTION",
      "-M", "5", "--repeat", "0"],

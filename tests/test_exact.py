@@ -15,6 +15,8 @@ from oracles import (
 )
 from sprcause.exact import (
     RationalMDP,
+    _evaluate,
+    _scaled_rows,
     _solve_bareiss,
     exact_reach,
     from_concrete,
@@ -57,6 +59,17 @@ def test_min_avoids_a_two_state_cycle_with_exits():
     mdp = RationalMDP(n_states=3, rows=(cycle[0], cycle[1], (None, None)), initial=0)
     assert exact_reach(mdp, {2}, "min") == [0, 0, 1]
     assert exact_reach(mdp, {2}, "max") == [1, 1, 1]
+
+
+def test_policy_evaluation_leaves_a_closed_cycle_at_zero():
+    # under this policy 0 and 1 step into each other forever; 2 leaks into
+    # the cycle or the target 3, and 4 retries until it reaches 3
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    rows = (({1: Fraction(1)},), ({0: Fraction(1)},), ({3: half, 0: half},), (None,),
+            ({3: third, 4: 1 - third},))
+    mdp = RationalMDP(n_states=5, rows=rows, initial=2)
+    nums, det = _evaluate(mdp, _scaled_rows(mdp), [0, 0, 0, -1, 0], {3}, set())
+    assert [Fraction(x, det) for x in nums] == [0, 0, half, 1, 1]
 
 
 def test_values_are_bellman_fixed_points():

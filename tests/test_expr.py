@@ -95,3 +95,8 @@ def _exprs(depth):
 @given(_exprs(10))
 def test_print_parse_round_trip(tree):
     assert parse_expr(to_string(tree), PQ) == tree
+
+
+def test_parentheses_nested_too_deeply_are_an_expr_error():
+    with pytest.raises(ExprError, match="nested too deeply"):
+        parse_expr("(" * 340 + "p" + ")" * 340, PQ)

@@ -192,3 +192,13 @@ def test_a_50x50_open_grid_fits_the_bound():
     ))
     n, m = grid.n_states, grid.n_actions
     assert (n + 1) * (m + 1) * (n + 1) * 8 <= model.MAX_DENSE_BYTES
+
+
+def test_a_sum_too_deep_to_evaluate_is_a_model_error():
+    # a left-deep tree of 1500 terms parses (the sum loop is iterative) but
+    # evaluates by recursion, one frame per term
+    doc = json.loads(json.dumps(TWO_STATE))
+    doc["transitions"][0]["prob"] = "+".join(["p/1500"] * 1500)
+    m = parse_model(json.dumps(doc))
+    with pytest.raises(ModelError, match=r"too deep to evaluate at \(s0, a\)"):
+        instantiate(m, [0.5])

@@ -6,11 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     path_cover_holds,
     recall_optimal_reference,
     sample_analyses,
+    select_indices_reference,
     singleton_cause_set,
 )
 from sprcause import bounds, fixtures, solver
@@ -267,6 +269,38 @@ def test_select_indices_prunes_redundant():
         assert not covers[i] <= rest
 
 
+@st.composite
+def _cover_families(draw):
+    n = draw(st.integers(1, 12))
+    indices = draw(st.lists(st.integers(0, 30), min_size=0, max_size=8, unique=True))
+    sets = st.frozensets(st.integers(0, n - 1))
+    return {i: draw(sets) for i in indices}, frozenset(range(n))
+
+
+def _family(n, sets):
+    return {i: frozenset(s) for i, s in sets.items()}, frozenset(range(n))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cover_families())
+# random families rarely pick two members that are each redundant but not
+# both at once; in these two the greedy picks do, so the prune order matters
+@example(_family(8, {16: [3, 4, 7], 0: [0, 1, 4, 5], 12: [0, 2, 5, 7], 9: [5],
+                     11: [0, 4, 5, 7], 17: [0, 4], 25: [1, 2, 7], 24: [1, 2, 5, 6]}))
+@example(_family(9, {24: [3, 7, 8], 2: [0, 1, 8], 28: [0], 13: [2, 3, 6, 8],
+                     27: [1, 2, 4, 6], 20: [2, 4, 5], 6: [4]}))
+def test_select_indices_matches_the_restarting_reference(family):
+    # uncoverable families included: both must raise the same error
+    covers, universe = family
+    try:
+        expected = select_indices_reference(covers, universe)
+    except AssertionError as e:
+        with pytest.raises(AssertionError, match=str(e)):
+            select_indices(covers, universe)
+    else:
+        assert select_indices(covers, universe) == expected
+
+
 def test_solve_example_reproduction(example_model, example_dist):
     sol = solve(example_model, example_dist, 1000, 0.0, 0.99, seed=8)
     assert [sorted(m) for m in sol.members] == [["s3"]]
@@ -332,6 +366,27 @@ def test_worker_pool_never_exceeds_the_usable_cpus(example_model, example_dist, 
     solve(example_model, example_dist, usable + 3, 0.0, 0.99, seed=0,
           config=SolveConfig(workers=usable + 1))
     assert len(started) == (usable if usable > 1 else 0)
+
+
+def test_five_points_on_four_workers_start_three_processes(example_model, example_dist,
+                                                          monkeypatch):
+    # chunks of ceil(5 / 4) = 2 points: three chunks, so three processes
+    batch = sample(align_dist(example_dist, example_model.param_space.names), 5, seed=0)
+    assert len({tuple(p) for p in batch.points.tolist()}) == 5
+    started = _process_starts(monkeypatch)
+    monkeypatch.setattr(solver, "usable_cpus", lambda: 4)  # as on a 4-CPU host
+    analyze_batch(example_model, batch, SolveConfig(workers=4))
+    assert len(started) == 3
+
+
+def test_analysis_classes_do_not_depend_on_the_worker_count(grid_model_a, grid_dist,
+                                                            monkeypatch):
+    batch = sample(align_dist(grid_dist, grid_model_a.param_space.names), 7, seed=3)
+    assert len({tuple(p) for p in batch.points.tolist()}) == 7
+    monkeypatch.setattr(solver, "usable_cpus", lambda: 3)
+    runs = [analyze_batch(grid_model_a, batch, SolveConfig(workers=w)) for w in (1, 2, 3)]
+    assert all((r.classes, r.samples) == (runs[0].classes, runs[0].samples) for r in runs)
+    assert len(runs[0].classes) > 1
 
 
 def test_pc1_surrogate_zeta_is_max(example_model, example_dist):
