@@ -29,17 +29,25 @@ from .validate import Estimate, fresh_analyses, mean_point_baseline, recall_gap,
 click.UsageError.exit_code = 1
 
 
-def _load(kind: str, ref: str):
-    """The model or distribution (`kind`) that `ref` names: a builtin or a file."""
-    model = kind == "model"
-    if ref in (fixtures.builtin_model_names() if model else fixtures.builtin_dist_names()):
-        return (fixtures.builtin_model if model else fixtures.builtin_dist)(ref)
+def _load(what: str, ref: str, names, builtin, load):
+    """The builtin `builtin(ref)` if `ref` is in `names`, else `load(ref)` of a file."""
+    if ref in names:
+        return builtin(ref)
     try:
-        return (load_model if model else load_dist)(ref)
+        return load(ref)
     except FileNotFoundError:
-        raise click.UsageError(f"{kind} {ref!r}: no such file or builtin name")
+        raise click.UsageError(f"{what} {ref!r}: no such file or builtin name")
     except (ModelError, DistError) as e:
-        raise click.UsageError(f"{kind} {ref!r}: {e}")
+        raise click.UsageError(f"{what} {ref!r}: {e}")
+
+
+def _load_model(ref: str):
+    return _load("model", ref, fixtures.builtin_model_names(), fixtures.builtin_model, load_model)
+
+
+def _load_dist(ref: str):
+    names = fixtures.builtin_dist_names()
+    return _load("distribution", ref, names, fixtures.builtin_dist, load_dist)
 
 
 def _write(out: str | None, text: str):
@@ -72,8 +80,8 @@ def main():
 def identify(model_ref, dist_ref, n_samples, delta, beta, seed, workers, out, exact,
              geq_filter, verbose):
     """Identify probable cause sets with PAC lower bounds."""
-    pmodel = _load("model", model_ref)
-    dist = _load("distribution", dist_ref)
+    pmodel = _load_model(model_ref)
+    dist = _load_dist(dist_ref)
     config = SolveConfig(
         geq_filter=geq_filter,
         exact_corners=exact,
@@ -107,7 +115,7 @@ def identify(model_ref, dist_ref, n_samples, delta, beta, seed, workers, out, ex
 @click.argument("cause_states", nargs=-1, required=True)
 def check(model_ref, point_str, exact, cause_states):
     """Check whether a state set is an SPR cause at a concrete point."""
-    pmodel = _load("model", model_ref)
+    pmodel = _load_model(model_ref)
     try:
         point = [float(x) for x in point_str.split(",")]
         concrete = instantiate(pmodel, point)
@@ -146,8 +154,8 @@ def check(model_ref, point_str, exact, cause_states):
               help="with k>1, emit (N, quantity, mean, sd) rows over k seeded estimates")
 def validate(model_ref, dist_ref, solution_path, n_samples, seed, out, repeat):
     """Monte-Carlo estimates of the cause and recall probabilities of a solution."""
-    pmodel = _load("model", model_ref)
-    dist = _load("distribution", dist_ref)
+    pmodel = _load_model(model_ref)
+    dist = _load_dist(dist_ref)
     members, candidates, n_solution = _read_solution(solution_path, pmodel, repeat > 1)
 
     def quantities(run_seed: int) -> list[tuple[str, float]]:
@@ -264,8 +272,8 @@ def baseline(kind, model_ref, dist_ref, out):
     na1: the canonical cause at the mean parameter point.  na2: the canonical
     causes at the support-box vertices, deduplicated.
     """
-    pmodel = _load("model", model_ref)
-    dist = _load("distribution", dist_ref)
+    pmodel = _load_model(model_ref)
+    dist = _load_dist(dist_ref)
     try:
         sets = [mean_point_baseline(pmodel, dist)] if kind == "na1" else vertex_baseline(pmodel, dist)
     except ValueError as e:

@@ -54,8 +54,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import model as model_mod
-from .model import ConcreteModel, Graph
+from .model import MAX_DENSE_BYTES, ConcreteModel, Graph
 
 # fixed, not options: stopping residual, optimal-action slack, sweep cap
 VI_TOL = 1e-10
@@ -63,7 +62,6 @@ KAPPA_ACT = 1e-7
 MAX_SWEEPS = 10**6
 
 _MASK_CACHE: dict[tuple, np.ndarray] = {}
-_mask_cache_bytes = 0  # the key bytes held in _MASK_CACHE
 
 
 class IterationLimitError(RuntimeError):
@@ -129,19 +127,16 @@ def _prob1_max_mask(pos: np.ndarray, enabled: np.ndarray, tgt: np.ndarray) -> np
 
 def _prob1_max_cached(pos: np.ndarray, enabled: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     """The max objective's prob1 mask, cached by the boolean support."""
-    global _mask_cache_bytes
     n, m = enabled.shape
     key = (n, m, np.packbits(pos).tobytes(), enabled.tobytes(), tgt.tobytes())
     mask = _MASK_CACHE.get(key)
     if mask is None:
         mask = _prob1_max_mask(pos, enabled, tgt)
         mask.setflags(write=False)
-        size = sum(map(len, key[2:]))
-        if _mask_cache_bytes + size > model_mod.MAX_DENSE_BYTES:
+        # the key bytes held with this key added, recounted: misses are rare
+        if sum(len(k[2]) + len(k[3]) + len(k[4]) for k in (*_MASK_CACHE, key)) > MAX_DENSE_BYTES:
             _MASK_CACHE.clear()
-            _mask_cache_bytes = 0
         _MASK_CACHE[key] = mask
-        _mask_cache_bytes += size
     return mask
 
 

@@ -8,7 +8,8 @@ an irredundant index set greedily, and attach the PAC bounds.
 
 Everything is deterministic given (model, distribution, N, delta, beta,
 seed); worker count only changes scheduling, never results: the distinct
-points go out in chunks of ceil(points / workers), one process per chunk.
+points go out in chunks of ceil(points / workers), one process per worker,
+never more than the points or the usable CPUs.
 """
 
 from __future__ import annotations
@@ -128,10 +129,8 @@ def analyze_batch(
     analyze = partial(_analyze_point, pmodel, config=config)
     workers = min(config.workers, len(distinct), usable_cpus())
     if workers > 1:
-        # a pool starts all its processes at once: one per chunk, not per worker
-        chunksize = math.ceil(len(distinct) / workers)
-        with ProcessPoolExecutor(max_workers=math.ceil(len(distinct) / chunksize)) as pool:
-            results = list(pool.map(analyze, distinct, chunksize=chunksize))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(analyze, distinct, chunksize=math.ceil(len(distinct) / workers)))
     else:
         results = list(map(analyze, distinct))
     by_point = dict(zip(distinct, results))

@@ -288,19 +288,18 @@ def test_cold_and_warm_cache_give_identical_values(monkeypatch):
 def test_mask_cache_never_exceeds_its_bound(monkeypatch):
     # the bound counts key bytes; a key of CHAIN holds 1 + 2 + 2 bytes (packed
     # support, enabled mask, target mask), so 15 bytes leave room for three
-    chains = [instantiate(CHAIN, [p]) for p in (0.25, 1.0)]  # before the bound drops
     monkeypatch.setattr(reach, "_MASK_CACHE", {})
-    monkeypatch.setattr(reach, "_mask_cache_bytes", 0)
-    monkeypatch.setattr("sprcause.model.MAX_DENSE_BYTES", 15)
+    monkeypatch.setattr(reach, "MAX_DENSE_BYTES", 15)
     sizes = []
     for _ in range(2):  # the second round looks up keys that may have been cleared
-        for c in chains:
+        for p in (0.25, 1.0):
+            c = instantiate(CHAIN, [p])
             for target in ([], [0], [1], [0, 1]):
                 pos, tgt = _support(c, target)
                 p1 = _prob1_max_cached(pos, c.enabled, tgt)
                 assert np.array_equal(p1, _prob1_max_mask(pos, c.enabled, tgt))
                 held = sum(len(part) for key in reach._MASK_CACHE for part in key[2:])
-                assert held == reach._mask_cache_bytes <= 15
+                assert held <= 15
                 sizes.append(len(reach._MASK_CACHE))
     assert max(sizes) == 3 and sizes.count(1) > 1  # filled up, then cleared
 

@@ -368,17 +368,6 @@ def test_worker_pool_never_exceeds_the_usable_cpus(example_model, example_dist, 
     assert len(started) == (usable if usable > 1 else 0)
 
 
-def test_five_points_on_four_workers_start_three_processes(example_model, example_dist,
-                                                          monkeypatch):
-    # chunks of ceil(5 / 4) = 2 points: three chunks, so three processes
-    batch = sample(align_dist(example_dist, example_model.param_space.names), 5, seed=0)
-    assert len({tuple(p) for p in batch.points.tolist()}) == 5
-    started = _process_starts(monkeypatch)
-    monkeypatch.setattr(solver, "usable_cpus", lambda: 4)  # as on a 4-CPU host
-    analyze_batch(example_model, batch, SolveConfig(workers=4))
-    assert len(started) == 3
-
-
 def test_analysis_classes_do_not_depend_on_the_worker_count(grid_model_a, grid_dist,
                                                             monkeypatch):
     batch = sample(align_dist(grid_dist, grid_model_a.param_space.names), 7, seed=3)
