@@ -8,9 +8,23 @@ t of
 i.e. the binomial CDF at k with success probability 1-t.  The no-discard
 case (k = 0) is special: the un-union-bounded scenario bound applies and
 gives (1-beta)^(1/N), which is larger than the k=0 root of the equation
-above.  The CDF is evaluated through the regularized incomplete beta
-function, which stays finite for sample counts far beyond direct
-summation.
+above.
+
+`tail_root` bisects on t and decides every step, CDF < (1-beta)/N,
+exactly, at x = 1 - (1 - mid) in floats, whose complement 1 - x is a
+float too:
+
+- a float sum first (`_log_cdf`): the log of the tail's largest term from
+  `lgamma`, ratios to its neighbours walking down to 0 and up to k, and
+  `math.fsum`.  Each direction stops once a geometric bound on the rest
+  falls below 2^-60 of the sum.  Its error bound grows with the size of
+  the lgamma and log terms (8 ulps of their sum, where CPython's `lgamma`
+  and `log` are within about 1 and 0.5 ulp) and with the number of ratio
+  steps, and it counts the truncation;
+- inside that band, a sum in `decimal` at 40 digits, whose n + 2k + 1
+  correctly rounded operations bound its relative error by about
+  (n + 2k + 1) 10^-40;
+- inside that band too, the sum on integers, which is exact.
 
 Every count, cover set and Monte-Carlo estimate is the size of a union of
 sample sets.  A query reads a sample only through its analysis, so
@@ -22,22 +36,110 @@ a member is recall-optimal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from operator import floordiv, truediv
 from typing import Callable, Iterable
-
-from scipy.special import betainc
 
 from .model import Graph
 from .sprcheck import cause_front, recall_covers, satisfies_minimality
 
 BISECT_TOL = 1e-12
+EPS = math.ulp(1.0)
+TAIL_STOP = 2.0**-60
+DECIMAL = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _log_cdf(k: int, n: int, x: float) -> tuple[float, float]:
+    """log P[Bin(n, 1 - x) <= k] as a float sum, and a bound on its error.
+
+    For 0 < k < n and 0 < x < 1, where 1 - x must be exact in floats, as it
+    is for x = 1 - y.
+    """
+    p, q = 1.0 - x, x
+    log_p, log_q = math.log(p), math.log(q)
+    s = min(k, int((n + 1) * p))  # the tail's largest term, or one next to it
+    lg_n, lg_s, lg_rest = math.lgamma(n + 1), math.lgamma(s + 1), math.lgamma(n - s + 1)
+    log_top = lg_n - lg_s - lg_rest + s * log_p + (n - s) * log_q
+    terms = [1.0]
+    term, i = 1.0, s
+    while i > 0:  # T(i-1) / T(i)
+        r = i * q / ((n - i + 1) * p)
+        if r < 1.0 and term * r <= TAIL_STOP * (1.0 - r):
+            break
+        term *= r
+        terms.append(term)
+        i -= 1
+    term, i = 1.0, s
+    while i < k:  # T(i+1) / T(i)
+        r = (n - i) * p / ((i + 1) * q)
+        if r < 1.0 and term * r <= TAIL_STOP * (1.0 - r):
+            break
+        term *= r
+        terms.append(term)
+        i += 1
+    magnitude = lg_n + lg_s + lg_rest - s * log_p - (n - s) * log_q + len(terms)
+    return log_top + math.log(math.fsum(terms)), 8 * EPS * (magnitude + 4)
+
+
+def _horner(k: int, n: int, p, q, div):
+    """sum_{i<=k} C(n,i) p^i q^(k-i) by Horner's rule in q.
+
+    `div` divides C(n,i) p^i (n - i) p by i + 1, which is exact on integers.
+    """
+    total, term = 0, 1
+    for i in range(k):
+        total = total * q + term
+        term = div(term * (n - i) * p, i + 1)
+    return total * q + term
+
+
+def _decimal_below(k: int, n: int, x: float, rhs: float) -> bool | None:
+    """The decision in `decimal`, or None when its error bound cannot tell."""
+    with localcontext(DECIMAL):
+        q = Decimal(x)
+        total = _horner(k, n, Decimal(1.0 - x), q, truediv)
+        for _ in range(n - k):
+            total *= q
+        # every rounding is at most half a unit in the 40th digit
+        margin = total * (4 * (n + 2 * k + 1)) * Decimal("5e-40")
+        if total + margin < rhs:
+            return True
+        if total - margin > rhs:
+            return False
+    return None
+
+
+def _exact_below(k: int, n: int, x: float, rhs: float) -> bool:
+    """The decision on integers: x = a/b with b a power of two."""
+    a, b = x.as_integer_ratio()
+    num, den = rhs.as_integer_ratio()
+    return _horner(k, n, b - a, a, floordiv) * a ** (n - k) * den < num * b**n
+
+
+def _cdf_below(k: int, n: int, x: float, rhs: float) -> bool:
+    """Is P[Bin(n, 1 - x) <= k] < rhs, exactly?  For 0 < k < n and 0 < x < 1
+    whose complement 1 - x is exact in floats."""
+    if rhs <= 0.0:  # beta = 1
+        return False
+    log_cdf, err = _log_cdf(k, n, x)
+    log_rhs = math.log(rhs)
+    err += 8 * EPS * abs(log_rhs)
+    if abs(log_cdf - log_rhs) > err:
+        return log_cdf < log_rhs
+    decided = _decimal_below(k, n, x, rhs)
+    return _exact_below(k, n, x, rhs) if decided is None else decided
 
 
 def binomial_cdf(k: int, n: int, success: float) -> float:
-    """P[Bin(n, success) <= k] via the regularized incomplete beta identity."""
-    if k >= n:
+    """P[Bin(n, success) <= k], by the float sum of `_log_cdf` at x = 1 - success."""
+    x = 1.0 - success
+    if k >= n or x >= 1.0:
         return 1.0
-    return float(betainc(n - k, k + 1, 1.0 - success))
+    if x <= 0.0:
+        return 0.0
+    return math.exp(_log_cdf(k, n, x)[0])
 
 
 def tail_root(discarded: int, total: int, confidence: float) -> float:
@@ -55,14 +157,11 @@ def tail_root(discarded: int, total: int, confidence: float) -> float:
         return 0.0
     rhs = (1.0 - beta) / n
 
-    def cdf_at(t: float) -> float:
-        # success probability of a "violation" is 1 - t
-        return binomial_cdf(k, n, 1.0 - t)
-
     lo, hi = 0.0, 1.0
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if cdf_at(mid) < rhs:
+        # binomial_cdf's x at success probability 1 - mid; its complement is exact
+        if _cdf_below(k, n, 1.0 - (1.0 - mid), rhs):
             lo = mid
         else:
             hi = mid

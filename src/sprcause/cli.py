@@ -200,6 +200,8 @@ def _read_solution(path: str, pmodel, needs_n: bool):
         raise click.UsageError(f"solution file: missing key {e}")
     except (OSError, json.JSONDecodeError, TypeError, ValueError) as e:
         raise click.UsageError(f"solution file: {e}")
+    except RecursionError:
+        raise click.UsageError("solution file: invalid JSON: nested too deeply")
     return members, candidates, n_solution
 
 
@@ -251,6 +253,8 @@ def gridworld_gen(which, spec_path, out):
         pmodel = generate(spec)
     except (OSError, json.JSONDecodeError, ValueError) as e:
         raise click.UsageError(str(e))
+    except RecursionError:
+        raise click.UsageError("spec: invalid JSON: nested too deeply")
     _write(out, json.dumps(model_to_json(pmodel), indent=2) + "\n")
 
 

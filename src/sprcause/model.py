@@ -100,6 +100,8 @@ def parse_model(document: str) -> ParametricModel:
         doc = json.loads(document)
     except json.JSONDecodeError as e:
         raise ModelError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise ModelError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ModelError("model document must be a JSON object")
     unknown = set(doc) - _MODEL_KEYS

@@ -102,6 +102,8 @@ def parse_dist(document: str) -> DistSpec:
         doc = json.loads(document)
     except json.JSONDecodeError as e:
         raise DistError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise DistError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise DistError("distribution document must be a JSON object")
 

@@ -129,7 +129,10 @@ def single_state_verdict(
         for a in mx.optimal_actions[s]:
             optimal[s, a] = True
     reached = ((mod.trans > 0.0) & optimal[:, :, None]).any(axis=1)
-    succ = [frozenset(np.flatnonzero(r).tolist()) for r in reached]
+    rows, cols = np.nonzero(reached)  # row-major: each state's successors in one run
+    ends = np.searchsorted(rows, np.arange(1, mod.n_states + 1)).tolist()
+    cols = cols.tolist()
+    succ = [frozenset(cols[a:b]) for a, b in zip([0, *ends], ends)]
     return _corner(state, mod.initial, succ, w, q0)
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 from typing import Iterable
 
 import numpy as np
@@ -229,6 +230,25 @@ def rational_tail_root(k: int, n: int, beta: Fraction, bits: int = 60) -> Fracti
         else:
             lo = mid
     return Fraction(lo + hi, 2 * two_d)
+
+
+def binomial_cdf_below(k: int, n: int, x: float, rhs: float) -> bool:
+    """Is P[Bin(n, 1 - x) <= k] < rhs, decided on integers?
+
+    With x = a/b the CDF is sum_{i<=k} C(n,i) (b-a)^i a^(n-i) / b^n.  The
+    sum runs over the shorter tail, one term at a time with its own powers.
+    """
+    a, b = x.as_integer_ratio()
+    num, den = rhs.as_integer_ratio()
+
+    def term(i: int) -> int:
+        return comb(n, i) * (b - a) ** i * a ** (n - i)
+
+    if 2 * k < n:
+        lower = sum(map(term, range(k + 1)))
+    else:
+        lower = b**n - sum(map(term, range(k + 1, n + 1)))
+    return lower * den < num * b**n
 
 
 def uniform_box_probability(pred, p_range, q_range) -> float:

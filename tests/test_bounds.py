@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 from unittest import mock
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    binomial_cdf_below,
     cause_front_per_member,
     minimality_per_member,
     random_layered_mdp,
@@ -67,6 +69,67 @@ def test_bisection_residual():
     for k, n, beta in [(3, 40, 0.9), (12, 200, 0.99), (77, 100, 0.95)]:
         t = tail_root(k, n, beta)
         assert abs(binomial_cdf(k, n, 1 - t) - (1 - beta) / n) <= 1e-10
+
+
+# SHA-256 over float.hex of tail_root(k, N, beta) for every k at the N and
+# beta below, pinned when the bisection still evaluated the tail with
+# scipy's betainc.  The pure-Python tail decides each step exactly, and
+# on this grid every exact decision agrees with betainc's.
+TAIL_ROOT_DIGEST = "e2a171548e350067fc92c8515cb0fb9b865a1ccea28f231132480bcbed16ec4c"
+
+
+def test_tail_root_digest_is_pinned():
+    digest = hashlib.sha256()
+    for n in (1, 2, 3, 4, 5, 10, 20, 30, 50, 100, 200, 300, 500, 800, 1000):
+        for beta in (0.9, 0.99, 0.999):
+            for k in range(n + 1):
+                digest.update(tail_root(k, n, beta).hex().encode() + b"\n")
+    assert digest.hexdigest() == TAIL_ROOT_DIGEST
+
+
+# Roots where a plain lgamma + fsum sum decides one bisection step the other
+# way; the exact sum sides with betainc, and these are betainc's roots.
+@pytest.mark.parametrize("k, n, beta, root", [
+    (144, 500, 0.999, "0x1.398d7f553d000p-1"),
+    (201, 500, 0.999, "0x1.fa062a780e000p-2"),
+    (67, 800, 0.9, "0x1.bfeb6dc735000p-1"),
+    (515, 1000, 0.99, "0x1.aba2940036000p-2"),
+    (461, 1000, 0.999, "0x1.da897544f2000p-2"),
+])
+def test_tail_root_where_a_float_sum_flips_a_step(k, n, beta, root):
+    assert tail_root(k, n, beta) == float.fromhex(root)
+
+
+@st.composite
+def _tail_queries(draw):
+    n = draw(st.integers(2, 1000))
+    beta = draw(st.sampled_from([0.9, 0.99, 0.999]) | st.floats(0.01, 0.9999))
+    offsets = draw(st.lists(st.floats(-1e-12, 1e-12), min_size=1, max_size=4))
+    return draw(st.integers(1, n - 1)), n, beta, offsets
+
+
+@settings(max_examples=15, deadline=None)
+@given(_tail_queries())
+def test_every_bisection_decision_is_exact(query):
+    k, n, beta, offsets = query
+    decide, seen = bounds._cdf_below, []
+
+    def spy(*args):
+        seen.append((args, decide(*args)))
+        return seen[-1][1]
+
+    with mock.patch.object(bounds, "_cdf_below", spy):
+        root = tail_root(k, n, beta)
+    assert len(seen) == 40  # 2^-40 is the first width under BISECT_TOL
+    for args, got in seen:
+        assert got == binomial_cdf_below(*args), args
+    # points within 1e-12 of the root, with a float complement as in the bisection
+    rhs = (1.0 - beta) / n
+    for x in {1.0 - (1.0 - root * (1.0 + d)) for d in offsets}:
+        want = binomial_cdf_below(k, n, x, rhs)
+        assert decide(k, n, x, rhs) == want
+        assert bounds._exact_below(k, n, x, rhs) == want
+        assert bounds._decimal_below(k, n, x, rhs) in (None, want)
 
 
 def test_monotone_in_discards_and_confidence():

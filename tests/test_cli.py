@@ -189,6 +189,23 @@ def test_a_model_nested_too_deeply_is_a_usage_error(runner, tmp_path):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("argv", [
+    ["identify", "--model", "DEEP", "--dist", "example", "-N", "5"],
+    ["identify", "--model", "example", "--dist", "DEEP", "-N", "5"],
+    ["validate", "--model", "example", "--dist", "example", "--solution", "DEEP", "-M", "5"],
+    ["gridworld", "gen", "--spec", "DEEP"],
+], ids=["model", "dist", "solution", "spec"])
+def test_json_nested_too_deeply_is_a_usage_error(runner, tmp_path, argv):
+    # json.loads raises RecursionError, not JSONDecodeError, on this input
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    result = runner.invoke(main, [str(path) if a == "DEEP" else a for a in argv])
+    assert result.exit_code == 1
+    assert "Error:" in result.output and "invalid JSON: nested too deeply" in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
 def test_unknown_baseline_is_a_usage_error(runner):
     result = runner.invoke(main, ["baseline", "na3", "--model", "example", "--dist", "example"])
     assert result.exit_code == 1
