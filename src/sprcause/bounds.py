@@ -132,16 +132,6 @@ def _cdf_below(k: int, n: int, x: float, rhs: float) -> bool:
     return _exact_below(k, n, x, rhs) if decided is None else decided
 
 
-def binomial_cdf(k: int, n: int, success: float) -> float:
-    """P[Bin(n, success) <= k], by the float sum of `_log_cdf` at x = 1 - success."""
-    x = 1.0 - success
-    if k >= n or x >= 1.0:
-        return 1.0
-    if x <= 0.0:
-        return 0.0
-    return math.exp(_log_cdf(k, n, x)[0])
-
-
 def tail_root(discarded: int, total: int, confidence: float) -> float:
     """The PAC lower-bound value t*(k, beta) for k discarded of N samples."""
     k, n, beta = discarded, total, confidence
@@ -160,7 +150,7 @@ def tail_root(discarded: int, total: int, confidence: float) -> float:
     lo, hi = 0.0, 1.0
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        # binomial_cdf's x at success probability 1 - mid; its complement is exact
+        # the CDF at success probability 1 - mid, at an x whose complement is exact
         if _cdf_below(k, n, 1.0 - (1.0 - mid), rhs):
             lo = mid
         else:

@@ -1,10 +1,11 @@
 """Arithmetic expressions over model parameters.
 
 Transition probabilities of a parametric MDP are small arithmetic
-expressions such as ``"1-p"`` or ``"p*q + 0.5"``.  This module holds the
-AST, a recursive-descent parser with position-aware errors, one
-evaluator (over floats, or over exact Fractions for the exact back end),
-and a printer whose output re-parses to a structurally identical tree.
+expressions such as ``"1-p"`` or ``"p*q + 0.5"``.  This module holds a
+recursive-descent parser with position-aware errors that compiles each
+expression into a flat postfix program, one stack evaluator (over floats,
+or over exact Fractions for the exact back end), and a printer whose
+output re-parses to the same program.
 """
 
 from __future__ import annotations
@@ -42,83 +43,81 @@ class ParamSpace:
         return len(self.names)
 
 
-# --- AST -----------------------------------------------------------------
+# --- Programs ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    text: str  # literal text kept so exact mode can use Fraction(text)
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * /
-    left: "Expr"
-    right: "Expr"
-
-
-Expr = Num | Var | Neg | BinOp
+# A program is an expression in postfix order: a literal is its text (so
+# exact mode can use Fraction(text)), a parameter is its index in the
+# ParamSpace, an operator is one of + - * / or NEG for unary minus.  Being
+# flat, a program of any length evaluates, prints and pickles without
+# recursion.
+Program = tuple[str | int, ...]
+NEG = "NEG"
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+_ATOM = 3  # literals, parameters and negations never need parentheses
 
 
-def evaluate(expr: Expr, env: dict, num=float):
-    """Evaluate at a parameter point, reading literals as `num(text)`: float
-    arithmetic by default, exact with num=Fraction and Fraction values in
-    `env`.  Division by zero raises ExprError."""
-    if isinstance(expr, Num):
-        return num(expr.text)
-    if isinstance(expr, Var):
-        return env[expr.name]
-    if isinstance(expr, Neg):
-        return -evaluate(expr.operand, env, num)
-    a, b = evaluate(expr.left, env, num), evaluate(expr.right, env, num)
-    if expr.op == "+":
-        return a + b
-    if expr.op == "-":
-        return a - b
-    if expr.op == "*":
-        return a * b
-    if b == 0:
-        raise ExprError("division by zero during evaluation")
-    return a / b
+def evaluate(program: Program, point, num=float):
+    """Evaluate at a parameter point (indexed as the ParamSpace), reading
+    literals as `num(text)`: float arithmetic by default, exact with
+    num=Fraction and Fraction values in `point`.  Division by zero raises
+    ExprError."""
+    if len(program) == 1:
+        tok = program[0]
+        return point[tok] if type(tok) is int else num(tok)
+    stack = []
+    for tok in program:
+        if type(tok) is int:
+            stack.append(point[tok])
+        elif tok == "+":
+            b = stack.pop()
+            stack[-1] += b
+        elif tok == "-":
+            b = stack.pop()
+            stack[-1] -= b
+        elif tok == "*":
+            b = stack.pop()
+            stack[-1] *= b
+        elif tok == "/":
+            b = stack.pop()
+            if b == 0:
+                raise ExprError("division by zero during evaluation")
+            stack[-1] /= b
+        elif tok == NEG:
+            stack[-1] = -stack[-1]
+        else:
+            stack.append(num(tok))
+    return stack[0]
 
 
-def is_literal_zero(expr: Expr) -> bool:
+def is_literal_zero(program: Program) -> bool:
     """True for a plain 0 / 0.0 literal (used for the enabled-action skeleton)."""
-    return isinstance(expr, Num) and float(expr.text) == 0.0
+    return len(program) == 1 and type(program[0]) is str and float(program[0]) == 0.0
 
 
-def to_string(expr: Expr) -> str:
-    """Render with minimal parentheses; parse(to_string(e)) == e structurally."""
-    if isinstance(expr, Num):
-        return expr.text
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Neg):
-        inner = to_string(expr.operand)
-        if isinstance(expr.operand, BinOp):
-            inner = f"({inner})"
-        return f"-{inner}"
-    prec = _PRECEDENCE[expr.op]
-    left = to_string(expr.left)
-    if isinstance(expr.left, BinOp) and _PRECEDENCE[expr.left.op] < prec:
-        left = f"({left})"
-    right = to_string(expr.right)
-    # a+b-c parses left-associatively, so a same-precedence right child
-    # must be parenthesized to survive a round trip unchanged
-    if isinstance(expr.right, BinOp) and _PRECEDENCE[expr.right.op] <= prec:
-        right = f"({right})"
-    return f"{left}{expr.op}{right}"
+def to_string(program: Program, names: tuple[str, ...]) -> str:
+    """Render with minimal parentheses; parse_expr(to_string(p)) == p."""
+    stack: list[tuple[str, int]] = []  # (text, precedence of its top operator)
+    for tok in program:
+        if type(tok) is int:
+            stack.append((names[tok], _ATOM))
+        elif tok == NEG:
+            text, prec = stack.pop()
+            stack.append((f"-({text})" if prec < _ATOM else f"-{text}", _ATOM))
+        elif tok in _PRECEDENCE:
+            prec = _PRECEDENCE[tok]
+            right, right_prec = stack.pop()
+            left, left_prec = stack.pop()
+            if left_prec < prec:
+                left = f"({left})"
+            # a+b-c parses left-associatively, so a same-precedence right
+            # operand must be parenthesized to survive a round trip unchanged
+            if right_prec <= prec:
+                right = f"({right})"
+            stack.append((f"{left}{tok}{right}", prec))
+        else:
+            stack.append((tok, _ATOM))
+    return stack[0][0]
 
 
 # --- Parser --------------------------------------------------------------
@@ -129,9 +128,11 @@ _TOKEN_RE = re.compile(
 
 
 class _Parser:
+    """Recursive descent over the grammar, emitting postfix tokens."""
+
     def __init__(self, text: str, params: ParamSpace):
         self.text = text
-        self.params = params
+        self.index = {name: i for i, name in enumerate(params.names)}
         self.tokens: list[tuple[str, str, int]] = []
         pos = 0
         while pos < len(text):
@@ -146,6 +147,7 @@ class _Parser:
             self.tokens.append((kind, m.group(kind), m.start(kind)))
             pos = m.end()
         self.i = 0
+        self.out: list[str | int] = []
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, "", len(self.text))
@@ -160,52 +162,57 @@ class _Parser:
         if kind != "op" or value != op:
             raise ExprError(f"expected {op!r}", pos)
 
-    def parse(self) -> Expr:
-        node = self.expr()
+    def parse(self) -> Program:
+        self.expr()
         kind, value, pos = self.peek()
         if kind is not None:
             raise ExprError(f"trailing input {value!r}", pos)
-        return node
+        return tuple(self.out)
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self):
+        self.term()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
-                node = BinOp(value, node, self.term())
+                self.term()
+                self.out.append(value)
             else:
-                return node
+                return
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self):
+        self.factor()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "*/":
                 self.take()
-                node = BinOp(value, node, self.factor())
+                self.factor()
+                self.out.append(value)
             else:
-                return node
+                return
 
-    def factor(self) -> Expr:
+    def factor(self):
         kind, value, pos = self.take()
         if kind == "num":
-            return Num(value)
-        if kind == "name":
-            if value not in self.params.names:
+            self.out.append(value)
+        elif kind == "name":
+            if value not in self.index:
                 raise ExprError(f"undeclared identifier {value!r}", pos)
-            return Var(value)
-        if kind == "op" and value == "(":
-            node = self.expr()
+            self.out.append(self.index[value])
+        elif kind == "op" and value == "(":
+            self.expr()
             self.expect_op(")")
-            return node
-        if kind == "op" and value == "-":
-            return Neg(self.factor())
-        raise ExprError("expected number, identifier, '(' or '-'", pos)
+        elif kind == "op" and value == "-":
+            self.factor()
+            self.out.append(NEG)
+        else:
+            raise ExprError("expected number, identifier, '(' or '-'", pos)
 
 
-def parse_expr(text: str, params: ParamSpace) -> Expr:
-    """Parse an arithmetic expression; identifiers must be declared in params."""
+def parse_expr(text: str, params: ParamSpace) -> Program:
+    """Parse an arithmetic expression into a program; identifiers must be
+    declared in params.  Parentheses and unary minus nest by recursion, so
+    nesting deeper than the interpreter's stack allows is an ExprError."""
     if not text or not text.strip():
         raise ExprError("empty expression")
     try:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .expr import BinOp, Expr, Num, ParamSpace, Var
+from .expr import ParamSpace, Program
 from .model import ParametricModel
 
 Cell = tuple[int, int]
@@ -105,14 +105,10 @@ def derive_careful(spec_red: frozenset[Cell], risky: dict[Cell, str],
     return frozenset(out)
 
 
-def _half_slip(slip: str) -> Expr:
-    return BinOp("/", BinOp("-", Num("1"), Var(slip)), Num("2"))
-
-
-def _sum(parts: list[Expr]) -> Expr:
+def _sum(parts: list[Program]) -> Program:
     total = parts[0]
     for p in parts[1:]:
-        total = BinOp("+", total, p)
+        total += p + ("+",)
     return total
 
 
@@ -132,27 +128,27 @@ def generate(spec: GridSpec) -> ParametricModel:
             return c  # collisions fold back onto the current cell
         return t
 
-    rows: list[list[dict[int, Expr] | None]] = [[None] * len(ACTIONS) for _ in free]
+    rows: list[list[dict[int, Program] | None]] = [[None] * len(ACTIONS) for _ in free]
     for c in free:
         if c in spec.red:
             continue  # terminal
         allowed = spec.one_way.get(c, ACTIONS)
         for action in allowed:
             a = ACTIONS.index(action)
-            masses: dict[Cell, list[Expr]] = {}
+            masses: dict[Cell, list[Program]] = {}
             if c in spec.risky:
                 red_nb = [n for n in spec._neighbors(c) if n in spec.red]
                 if len(red_nb) != 1:
                     raise GridError(f"risky cell {c} needs exactly one red neighbor")
-                p = spec.risky[c]
-                masses.setdefault(red_nb[0], []).append(Var(p))
-                masses.setdefault(target(c, action), []).append(BinOp("-", Num("1"), Var(p)))
+                p = params.index(spec.risky[c])
+                masses.setdefault(red_nb[0], []).append((p,))
+                masses.setdefault(target(c, action), []).append(("1", p, "-"))
             elif c in spec.careful or action == "stay":
-                masses.setdefault(target(c, action), []).append(Num("1"))
+                masses.setdefault(target(c, action), []).append(("1",))
             else:
-                masses.setdefault(target(c, action), []).append(Var(spec.slip))
+                masses.setdefault(target(c, action), []).append((0,))  # the slip
                 for perp in _PERP[action]:
-                    masses.setdefault(target(c, perp), []).append(_half_slip(spec.slip))
+                    masses.setdefault(target(c, perp), []).append(("1", 0, "-", "2", "/"))
             rows[index[c]][a] = {index[t]: _sum(parts) for t, parts in masses.items()}
     return ParametricModel(
         states=states,

@@ -1,10 +1,12 @@
 """Parametric MDPs, their JSON file format, and concrete instantiations.
 
 A parametric model is a finite MDP whose transition probabilities are
-arithmetic expressions over a parameter vector.  Instantiating it at a
+arithmetic expressions over a parameter vector, each held as a flat
+postfix program (`expr.Program`), so a model of any expression length
+pickles for worker processes at constant depth.  Instantiating it at a
 parameter point yields a concrete MDP with dense per-(state, action)
 probability rows; rows are validated (sum to 1, entries in [0,1] up to a
-small float tolerance) rather than assumed well defined.
+small float tolerance, NaN rejected) rather than assumed well defined.
 
 States and actions are strings in files and dense integer indices
 internally; index order is file order, which keeps every downstream
@@ -19,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import Expr, ExprError, ParamSpace, evaluate, is_literal_zero, parse_expr
+from .expr import ExprError, ParamSpace, Program, evaluate, is_literal_zero, parse_expr
 
 ROW_SUM_TOL = 1e-9
 ENTRY_TOL = 1e-12
@@ -42,8 +44,8 @@ class ParametricModel:
     initial: int
     effect: frozenset[int]  # terminal effect states
     param_space: ParamSpace
-    # transitions[s][a] is a dict {target: Expr}; missing (s, a) means disabled
-    transitions: tuple[tuple[dict[int, Expr] | None, ...], ...]
+    # transitions[s][a] is a dict {target: Program}; missing (s, a) means disabled
+    transitions: tuple[tuple[dict[int, Program] | None, ...], ...]
 
     @property
     def n_states(self) -> int:
@@ -133,7 +135,7 @@ def parse_model(document: str) -> ParametricModel:
     except ValueError as e:
         raise ModelError(f"params: {e}") from None
 
-    rows: list[list[dict[int, Expr] | None]] = [
+    rows: list[list[dict[int, Program] | None]] = [
         [None] * len(actions) for _ in states
     ]
     seen: set[tuple[int, int, int]] = set()
@@ -200,19 +202,19 @@ def load_model(path) -> ParametricModel:
 
 
 def instantiate(model: ParametricModel, point: Sequence[float]) -> ConcreteModel:
-    """Evaluate every transition expression at the parameter point.
+    """Evaluate every transition program at the parameter point.
 
     Raises ModelError when a row is not a probability distribution: an
-    entry further than ENTRY_TOL outside [0,1], or a row sum off by more
-    than ROW_SUM_TOL.  Entries within tolerance are clamped to [0,1].
-    Also raises it, before evaluating any expression, when the dense tensor would
-    exceed MAX_DENSE_BYTES, and on an expression nested too deeply to evaluate.
+    entry further than ENTRY_TOL outside [0,1] or NaN, or a row sum off by
+    more than ROW_SUM_TOL.  Entries within tolerance are clamped to [0,1].
+    Also raises it, before evaluating any program, when the dense tensor
+    would exceed MAX_DENSE_BYTES.
     """
     if len(point) != model.param_space.dimension:
         raise ModelError(
             f"parameter point has dimension {len(point)}, expected {model.param_space.dimension}"
         )
-    env = dict(zip(model.param_space.names, map(float, point)))
+    point = tuple(map(float, point))
     n, m = model.n_states, model.n_actions
     trans = dense_transitions(n, m)
     enabled = np.zeros((n, m), dtype=bool)
@@ -223,21 +225,17 @@ def instantiate(model: ParametricModel, point: Sequence[float]) -> ConcreteModel
                 continue
             enabled[s, a] = True
             total = 0.0
-            for t, ex in row.items():
-                try:
-                    v = evaluate(ex, env)
-                except RecursionError:
-                    raise ModelError(
-                        f"expression too deep to evaluate at ({model.states[s]}, {model.actions[a]})"
-                    ) from None
-                if v < -ENTRY_TOL or v > 1.0 + ENTRY_TOL:
+            for t, program in row.items():
+                v = evaluate(program, point)
+                # written so that NaN fails it
+                if not -ENTRY_TOL <= v <= 1.0 + ENTRY_TOL:
                     raise ModelError(
                         f"entry {v!r} out of [0,1] at ({model.states[s]}, {model.actions[a]})"
                     )
                 v = min(max(v, 0.0), 1.0)
                 trans[s, a, t] = v
                 total += v
-            if abs(total - 1.0) > ROW_SUM_TOL:
+            if not abs(total - 1.0) <= ROW_SUM_TOL:
                 raise ModelError(
                     f"row sums to {total!r} at ({model.states[s]}, {model.actions[a]})"
                 )
@@ -267,7 +265,7 @@ def model_to_json(model: ParametricModel) -> dict:
                         "from": model.states[s],
                         "action": model.actions[a],
                         "to": model.states[t],
-                        "prob": to_string(row[t]),
+                        "prob": to_string(row[t], model.param_space.names),
                     }
                 )
     return {

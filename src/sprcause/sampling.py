@@ -34,6 +34,8 @@ class Marginal:
     def __post_init__(self):
         if self.kind not in ("uniform", "point"):
             raise DistError(f"unknown marginal kind {self.kind!r}")
+        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+            raise DistError(f"marginal bounds must be finite, got [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise DistError(f"empty interval [{self.lo}, {self.hi}]")
 
@@ -53,7 +55,7 @@ class DistSpec:
             raise DistError("no parameters")
         if len(self.weights) != len(self.components):
             raise DistError("weights and components differ in length")
-        if any(w <= 0 for w in self.weights):
+        if not all(w > 0 for w in self.weights):  # NaN fails it too
             raise DistError("weights must be positive")
         if abs(sum(self.weights) - 1.0) > WEIGHT_TOL:
             raise DistError(f"weights sum to {sum(self.weights)!r}, expected 1")

@@ -129,8 +129,10 @@ def analyze_batch(
     analyze = partial(_analyze_point, pmodel, config=config)
     workers = min(config.workers, len(distinct), usable_cpus())
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(analyze, distinct, chunksize=math.ceil(len(distinct) / workers)))
+        chunksize = math.ceil(len(distinct) / workers)
+        # one process per chunk: ceil(points / chunksize) can be below `workers`
+        with ProcessPoolExecutor(max_workers=math.ceil(len(distinct) / chunksize)) as pool:
+            results = list(pool.map(analyze, distinct, chunksize=chunksize))
     else:
         results = list(map(analyze, distinct))
     by_point = dict(zip(distinct, results))

@@ -17,7 +17,9 @@ restricted estimators.  `rational_to_concrete` is the float twin of a
 rational MDP, for float-against-exact comparisons.
 
 `from_parametric` (a parametric model at an exact rational point),
-`enabled_actions` and `spec_to_json` are helpers that only tests call, and
+`enabled_actions`, `spec_to_json` and `binomial_cdf` (the float value of
+the binomial tail that `tail_root` decides against) are helpers that only
+tests call, and
 `sample_analyses` reads each sample's analysis back from a batch's classes.
 
 `select_indices_reference` is the greedy cover's former form, which
@@ -35,12 +37,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, exp
 from typing import Iterable
 
 import numpy as np
 from scipy import integrate
 
+from sprcause.bounds import _log_cdf
 from sprcause.exact import RationalMDP
 from sprcause.expr import evaluate
 from sprcause.gridworld import GridSpec
@@ -84,13 +87,12 @@ def from_parametric(pmodel: ParametricModel, point: Iterable[Fraction]) -> Ratio
     point = [Fraction(x) for x in point]
     if len(point) != pmodel.param_space.dimension:
         raise ModelError("parameter point has wrong dimension")
-    env = dict(zip(pmodel.param_space.names, point))
     rows = [[None] * pmodel.n_actions for _ in range(pmodel.n_states)]
     for s, a in product(range(pmodel.n_states), range(pmodel.n_actions)):
-        exprs = pmodel.transitions[s][a]
-        if exprs is None:
+        programs = pmodel.transitions[s][a]
+        if programs is None:
             continue
-        vals = {t: evaluate(ex, env, Fraction) for t, ex in exprs.items()}
+        vals = {t: evaluate(program, point, Fraction) for t, program in programs.items()}
         if any(v < 0 or v > 1 for v in vals.values()):
             raise ModelError(f"entry out of [0,1] at ({pmodel.states[s]}, {pmodel.actions[a]})")
         if sum(vals.values()) != 1:
@@ -230,6 +232,17 @@ def rational_tail_root(k: int, n: int, beta: Fraction, bits: int = 60) -> Fracti
         else:
             lo = mid
     return Fraction(lo + hi, 2 * two_d)
+
+
+def binomial_cdf(k: int, n: int, success: float) -> float:
+    """P[Bin(n, success) <= k], by the float sum of `bounds._log_cdf` at
+    x = 1 - success: the float layer of `tail_root`'s decisions, as a value."""
+    x = 1.0 - success
+    if k >= n or x >= 1.0:
+        return 1.0
+    if x <= 0.0:
+        return 0.0
+    return exp(_log_cdf(k, n, x)[0])
 
 
 def binomial_cdf_below(k: int, n: int, x: float, rhs: float) -> bool:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    binomial_cdf,
     binomial_cdf_below,
     cause_front_per_member,
     minimality_per_member,
@@ -21,7 +22,6 @@ from sprcause import bounds
 from sprcause.bounds import (
     AnalysisBatch,
     SampleAnalysis,
-    binomial_cdf,
     cause_probability_bound,
     cause_sample_count,
     recall_probability_bound,

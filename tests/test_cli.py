@@ -160,9 +160,14 @@ def _example_with_numeric_prob():
     ("--dist", {"mixture": 5}, "mixture must be a nonempty list, got 5"),
     ("--dist", {"p": {"uniform": ["a", 1]}, "q": {"point": 0.5}},
      "marginal {'uniform': ['a', 1]}: could not convert string to float: 'a'"),
+    ("--dist", {"p": {"uniform": [float("nan"), 1]}, "q": {"point": 0.5}},
+     "marginal bounds must be finite, got [nan, 1.0]"),
+    ("--dist", {"mixture": [{"weight": float("nan"), "marginals": {
+        "p": {"point": 0.5}, "q": {"point": 0.5}}}]}, "weights must be positive"),
     ("--model", _example_with_numeric_prob(), "'prob': 1}: from, action, to and prob must be strings"),
 ], ids=["entry-without-marginals", "uniform-one-bound", "mixture-not-a-list",
-        "uniform-bound-not-a-number", "model-prob-not-a-string"])
+        "uniform-bound-not-a-number", "uniform-bound-nan", "weight-nan",
+        "model-prob-not-a-string"])
 def test_malformed_input_file_is_a_usage_error(runner, tmp_path, flag, doc, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
@@ -176,6 +181,16 @@ def test_malformed_input_file_is_a_usage_error(runner, tmp_path, flag, doc, mess
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("point, at", [("nan,0.5", "(s1, a)"), ("0.5,nan", "(s2, a)")])
+def test_a_nan_parameter_is_a_usage_error(runner, point, at):
+    # every comparison with NaN is false, so the entry check must be one it fails
+    result = runner.invoke(main, ["check", "--model", "example", "--point", point, "s3", "s1"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"entry nan out of [0,1] at {at}" in result.output
+    assert "is_spr_cause" not in result.output
+
+
 def test_a_model_nested_too_deeply_is_a_usage_error(runner, tmp_path):
     from sprcause.model import model_to_json
 
@@ -187,6 +202,27 @@ def test_a_model_nested_too_deeply_is_a_usage_error(runner, tmp_path):
     assert result.exit_code == 1
     assert "transition s1-a->s3: expression nested too deeply" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("terms", [400, 1500])
+def test_a_long_sum_gives_the_same_bytes_with_one_and_two_workers(runner, tmp_path,
+                                                                   monkeypatch, terms):
+    from sprcause import solver
+    from sprcause.model import model_to_json
+
+    monkeypatch.setattr(solver, "usable_cpus", lambda: 2)  # a pool even on one CPU
+    doc = model_to_json(fixtures.builtin_model("example"))
+    assert doc["transitions"][5]["prob"] == "p"
+    doc["transitions"][5]["prob"] = "p" + "+0" * (terms - 1)  # exactly p
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    outputs = []
+    for model_ref, workers in [("example", "1"), (str(path), "1"), (str(path), "2")]:
+        result = runner.invoke(main, ["identify", "--model", model_ref, "--dist", "example",
+                                      "-N", "60", "--seed", "5", "--workers", workers])
+        assert result.exit_code == 0, result.output
+        outputs.append(result.output)
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize("argv", [

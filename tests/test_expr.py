@@ -4,12 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sprcause.expr import (
-    BinOp,
+    NEG,
     ExprError,
-    Neg,
-    Num,
     ParamSpace,
-    Var,
     evaluate,
     parse_expr,
     to_string,
@@ -19,13 +16,11 @@ PQ = ParamSpace(("p", "q"))
 
 
 def test_simple_subtraction_shape():
-    tree = parse_expr("1-p", PQ)
-    assert tree == BinOp("-", Num("1"), Var("p"))
+    assert parse_expr("1-p", PQ) == ("1", 0, "-")
 
 
 def test_precedence_shape():
-    tree = parse_expr("p*q + 0.5", PQ)
-    assert tree == BinOp("+", BinOp("*", Var("p"), Var("q")), Num("0.5"))
+    assert parse_expr("p*q + 0.5", PQ) == (0, 1, "*", "0.5", "+")
 
 
 def test_undeclared_identifier_is_named():
@@ -46,55 +41,65 @@ def test_rejects_malformed(text):
 
 
 def test_left_associativity():
-    tree = parse_expr("1-p-q", PQ)
-    assert tree == BinOp("-", BinOp("-", Num("1"), Var("p")), Var("q"))
-    assert evaluate(tree, {"p": 0.25, "q": 0.5}) == 0.25
+    program = parse_expr("1-p-q", PQ)
+    assert program == ("1", 0, "-", 1, "-")
+    assert evaluate(program, (0.25, 0.5)) == 0.25
 
 
 def test_unary_minus():
-    tree = parse_expr("-p*q", PQ)
-    assert tree == BinOp("*", Neg(Var("p")), Var("q"))
-    assert evaluate(tree, {"p": 0.5, "q": 0.5}) == -0.25
+    program = parse_expr("-p*q", PQ)
+    assert program == (0, NEG, 1, "*")
+    assert evaluate(program, (0.5, 0.5)) == -0.25
 
 
 def test_parenthesized_grouping():
-    tree = parse_expr("p*(1-q)", PQ)
-    assert evaluate(tree, {"p": 0.5, "q": 0.25}) == pytest.approx(0.375)
+    program = parse_expr("p*(1-q)", PQ)
+    assert program == (0, "1", 1, "-", "*")
+    assert evaluate(program, (0.5, 0.25)) == pytest.approx(0.375)
 
 
 def test_exact_evaluation_uses_decimal_literals():
-    tree = parse_expr("0.1+p", PQ)
-    assert evaluate(tree, {"p": 0.2, "q": 0.0}) == 0.1 + 0.2
-    assert evaluate(tree, {"p": Fraction(1, 5), "q": Fraction(0)}, Fraction) == Fraction(3, 10)
+    program = parse_expr("0.1+p", PQ)
+    assert evaluate(program, (0.2, 0.0)) == 0.1 + 0.2
+    assert evaluate(program, (Fraction(1, 5), Fraction(0)), Fraction) == Fraction(3, 10)
 
 
 def test_division_by_zero_raises():
-    tree = parse_expr("p/q", PQ)
+    program = parse_expr("p/q", PQ)
     for num in (float, Fraction):
         with pytest.raises(ExprError):
-            evaluate(tree, {"p": num(1), "q": num(0)}, num)
+            evaluate(program, (num(1), num(0)), num)
 
 
-# random expression trees for the print/parse round trip
-def _exprs(depth):
+def test_a_long_sum_parses_evaluates_and_prints():
+    # sums and products are loops in the parser, and programs are flat, so
+    # no length meets the interpreter's recursion limit
+    text = "+".join(["p*q"] * 20_000)
+    program = parse_expr(text, PQ)
+    assert evaluate(program, (Fraction(1, 2), Fraction(1, 4)), Fraction) == 2500
+    assert to_string(program, PQ.names) == text
+
+
+# random programs for the print/parse round trip
+def _programs(depth):
     leaf = st.one_of(
-        st.sampled_from([Var("p"), Var("q")]),
-        st.integers(0, 9).map(lambda n: Num(str(n))),
-        st.sampled_from([Num("0.5"), Num("0.25"), Num("1.75")]),
+        st.sampled_from([(0,), (1,)]),
+        st.integers(0, 9).map(lambda n: (str(n),)),
+        st.sampled_from([("0.5",), ("0.25",), ("1.75",)]),
     )
     return st.recursive(
         leaf,
         lambda sub: st.one_of(
-            st.tuples(st.sampled_from("+-*/"), sub, sub).map(lambda t: BinOp(*t)),
-            sub.map(Neg),
+            st.tuples(st.sampled_from("+-*/"), sub, sub).map(lambda t: t[1] + t[2] + (t[0],)),
+            sub.map(lambda p: p + (NEG,)),
         ),
         max_leaves=depth,
     )
 
 
-@given(_exprs(10))
-def test_print_parse_round_trip(tree):
-    assert parse_expr(to_string(tree), PQ) == tree
+@given(_programs(10))
+def test_print_parse_round_trip(program):
+    assert parse_expr(to_string(program, PQ.names), PQ) == program
 
 
 def test_parentheses_nested_too_deeply_are_an_expr_error():

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import enabled_actions, from_parametric
-from sprcause import model
+from sprcause import fixtures, model
 from sprcause.gridworld import GridSpec, derive_careful, generate
 from sprcause.model import (
     ModelError,
@@ -194,11 +196,29 @@ def test_a_50x50_open_grid_fits_the_bound():
     assert (n + 1) * (m + 1) * (n + 1) * 8 <= model.MAX_DENSE_BYTES
 
 
-def test_a_sum_too_deep_to_evaluate_is_a_model_error():
-    # a left-deep tree of 1500 terms parses (the sum loop is iterative) but
-    # evaluates by recursion, one frame per term
+def test_a_long_sum_pickles_and_instantiates():
+    # workers receive the model pickled, so its size must not bound any depth
     doc = json.loads(json.dumps(TWO_STATE))
     doc["transitions"][0]["prob"] = "+".join(["p/1500"] * 1500)
     m = parse_model(json.dumps(doc))
-    with pytest.raises(ModelError, match=r"too deep to evaluate at \(s0, a\)"):
-        instantiate(m, [0.5])
+    again = pickle.loads(pickle.dumps(m))
+    assert again == m
+    c, d = instantiate(m, [0.5]), instantiate(again, [0.5])
+    assert c.trans.tobytes() == d.trans.tobytes()
+    assert c.trans[0, 0, 1] == pytest.approx(0.5)
+
+
+# sha256 of `gridworld gen`'s text form of model_to_json, pinned before
+# expressions became postfix programs: the printer must keep every byte
+MODEL_JSON_DIGESTS = {
+    "example": "2ec661cb61d620014074909d574f92bf5ea175e7725503ec5f44247d7302abb8",
+    "appendix-e": "6d71abd1b66adae806b072472f376d35b3cfcd8087eb8fc18be8e9eb3d230d81",
+    "grid-a": "a1922295d682f681377502c04d25d667decb88996ce793a6afcf240b4a9c260e",
+    "grid-b": "655b684ab9f644da5b44cb4372b2282c5b00ea03cb8a15d716e6e3414093f2c5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_JSON_DIGESTS))
+def test_model_json_digest_is_pinned(name):
+    text = json.dumps(model_to_json(fixtures.builtin_model(name)), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == MODEL_JSON_DIGESTS[name]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
@@ -351,21 +352,28 @@ def _process_starts(monkeypatch) -> list:
     return started
 
 
-def test_worker_pool_starts_one_process_per_chunk(example_model, example_dist, monkeypatch):
-    # two distinct points make two chunks, so four workers would leave two idle
+@pytest.mark.parametrize("points, chunks", [(2, 2), (5, 3)])
+def test_worker_pool_starts_one_process_per_chunk(example_model, example_dist, monkeypatch,
+                                                  points, chunks):
+    # four workers on 2 distinct points make 2 chunks; on 5 points, chunks
+    # of ceil(5 / 4) = 2 make 3, so a fourth process would stay idle
     started = _process_starts(monkeypatch)
     monkeypatch.setattr(solver, "usable_cpus", lambda: 4)  # as on a 4-CPU host
-    solve(example_model, example_dist, 2, 0.0, 0.99, seed=0, config=SolveConfig(workers=4))
-    assert len(started) == 2
+    solve(example_model, example_dist, points, 0.0, 0.99, seed=0, config=SolveConfig(workers=4))
+    assert len(started) == chunks
 
 
 def test_worker_pool_never_exceeds_the_usable_cpus(example_model, example_dist, monkeypatch):
     # one worker more than the usable CPUs, and more distinct points than both
     usable = solver.usable_cpus()
+    batch = sample(example_dist, usable + 3, seed=0)
+    distinct = len({tuple(p) for p in batch.points.tolist()})
+    workers = min(distinct, usable)
     started = _process_starts(monkeypatch)
     solve(example_model, example_dist, usable + 3, 0.0, 0.99, seed=0,
           config=SolveConfig(workers=usable + 1))
-    assert len(started) == (usable if usable > 1 else 0)
+    chunks = math.ceil(distinct / math.ceil(distinct / workers))
+    assert len(started) == (chunks if workers > 1 else 0)
 
 
 def test_analysis_classes_do_not_depend_on_the_worker_count(grid_model_a, grid_dist,
