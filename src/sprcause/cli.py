@@ -23,7 +23,13 @@ from .gridworld import builtin_env, generate, spec_from_json
 from .model import ModelError, instantiate, load_model, model_to_json, support_graph
 from .sampling import DistError, load_dist
 from .solver import DEFAULT_STATE_CAP, SolveConfig, solve, usable_cpus
-from .sprcheck import satisfies_minimality, single_state_verdict_exact, singleton_causes
+from .reach import max_reach
+from .sprcheck import (
+    build_modified,
+    satisfies_minimality,
+    single_state_verdict_exact,
+    singleton_causes,
+)
 from .validate import Estimate, fresh_analyses, mean_point_baseline, recall_gap, vertex_baseline
 
 click.UsageError.exit_code = 1
@@ -136,9 +142,13 @@ def check(model_ref, point_str, exact, cause_states):
     )
     for c in cause:
         v = verdicts[c]
+        q0 = v.bypass_prob
+        if np.isnan(q0):  # a graph verdict that does not fix q0: compute it to print it
+            modified = build_modified(concrete, c, v.commit_prob).model
+            q0 = float(max_reach(modified, modified.effect).values[concrete.initial])
         click.echo(
             f"{concrete.states[c]}: sign={v.sign:+d} branch={v.branch} "
-            f"w_c={v.commit_prob:.10f} q_s0={v.bypass_prob:.10f}"
+            f"w_c={v.commit_prob:.10f} q_s0={q0:.10f} decided={v.decided}"
         )
     click.echo(f"is_spr_cause: {result}")
 

@@ -278,7 +278,19 @@ def model_to_json(model: ParametricModel) -> dict:
     }
 
 
+def support_mask(model: ConcreteModel) -> np.ndarray:
+    """The boolean support: (S, A, S), the positive entries of enabled actions."""
+    return (model.trans > 0.0) & model.enabled[:, :, None]
+
+
 def support_graph(model: ConcreteModel) -> Graph:
     """Edges with positive probability under some action."""
-    succ = ((model.trans > 0.0) & model.enabled[:, :, None]).any(axis=1)
-    return Graph(n=model.n_states, succ=tuple(frozenset(np.flatnonzero(r).tolist()) for r in succ))
+    return edge_graph(model.n_states, *np.nonzero(support_mask(model).any(axis=1)))
+
+
+def edge_graph(n: int, src: np.ndarray, dst: np.ndarray) -> Graph:
+    """The graph of the edges src -> dst, listed in ascending src order
+    (as `np.nonzero` lists them), so each state's successors form one run."""
+    ends = np.searchsorted(src, np.arange(1, n + 1)).tolist()
+    dst = dst.tolist()
+    return Graph(n=n, succ=tuple(frozenset(dst[a:b]) for a, b in zip([0, *ends], ends)))

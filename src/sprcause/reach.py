@@ -22,21 +22,21 @@ whatever a disabled row holds, and max and min select an element, so the
 reduction order cannot change the result.  Only the product rounds, and
 it is the same product over all rows as always.
 
-The prob1 mask depends on the model only through its boolean support, so
-it is cached by it: the key is the shape, the packed positive-transition
-mask, the enabled mask and the target mask.  A hit therefore returns
-exactly the mask a fresh computation would, and the value iteration that
-follows runs the same float operations.  Samples of one parametric model
-usually share their support (every sample of the builtin models does), so
-each pivot's modified model (one entry per class of w_c: 0, 1 or in
-between) computes its mask once.  The cached arrays are read-only, and the
-cache is cleared when its key bytes would pass `model.MAX_DENSE_BYTES`, the
-memory bound of one dense tensor.  A miss runs the
-double fixpoint on the support's edge list (s, a, t), not on the dense
-(S, A, S) tensor: an inner step adds every s with an edge into the
-growing set whose pair (s, a) is enabled and has no edge leaving the
-candidate set.  Those are the states the dense step adds, so every iterate
-and the mask are the same.
+The prob1 mask depends on the model only through its boolean support.
+`max_reach` computes it unless the caller passes it: `sprcheck`'s support
+table computes each pivot's mask once per support and hands it to every
+sample with that support, and the value iteration that follows runs the
+same float operations either way.  The computation runs the double
+fixpoint on the support's edge list (s, a, t), not on the dense (S, A, S)
+tensor: an inner step adds every s with an edge into the growing set
+whose pair (s, a) is enabled and has no edge leaving the candidate set.
+Those are the states the dense step adds, so every iterate and the mask
+are the same.
+
+The same edge list gives the qualitative sets the support table decides
+with (Baier and Katoen, *Principles of Model Checking*, 2008, §10.6):
+`avoid_forever`, the min objective's prob0 set, and `reaching`, the
+states with a path into a given set.
 
 The exact layer (`exact.exact_reach`) keeps its avoid-forever set: policy
 iteration does not climb from 0, and without that set two states that
@@ -54,14 +54,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .model import MAX_DENSE_BYTES, ConcreteModel, Graph
+from .model import ConcreteModel, Graph, support_mask
 
 # fixed, not options: stopping residual, optimal-action slack, sweep cap
 VI_TOL = 1e-10
 KAPPA_ACT = 1e-7
 MAX_SWEEPS = 10**6
-
-_MASK_CACHE: dict[tuple, np.ndarray] = {}
 
 
 class IterationLimitError(RuntimeError):
@@ -101,43 +99,51 @@ def _target_mask(n: int, target: Iterable[int]) -> np.ndarray:
     return tgt
 
 
-def _prob1_max_mask(pos: np.ndarray, enabled: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    n, m = enabled.shape
-    src, act, dst = np.nonzero(pos)
-    pair = src * m + act
-    enabled_flat = enabled.ravel()
+def reaching(src: np.ndarray, dst: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """The seed states and every state with a path into them along the
+    edges src -> dst."""
+    v = seed.copy()
+    while True:
+        grown = v.copy()
+        grown[src[v[dst]]] = True
+        if (grown == v).all():
+            return v
+        v = grown
+
+
+def staying_actions(edges, enabled: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """(S, A) mask of the enabled pairs whose every edge lands inside."""
+    src, act, dst = edges
+    out = ~inside[dst]
+    leaves = np.zeros(enabled.shape, dtype=bool)
+    leaves[src[out], act[out]] = True
+    return enabled & ~leaves
+
+
+def prob1_max(edges, enabled: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """The max objective's prob1 states of the support `edges` = (s, a, t)."""
+    src, act, dst = edges
     u = np.ones(tgt.shape, dtype=bool)
     while True:
         # grow from the target the states that can step toward it while
         # staying inside the current candidate set
-        leaves = np.zeros(n * m, dtype=bool)
-        leaves[pair[~u[dst]]] = True
-        allin = (enabled_flat & ~leaves)[pair]  # per edge: its (s, a) stays in u
-        v = tgt.copy()
-        while True:
-            grown = v.copy()
-            grown[src[allin & v[dst]]] = True
-            if (grown == v).all():
-                break
-            v = grown
+        allin = staying_actions(edges, enabled, u)[src, act]
+        v = reaching(src[allin], dst[allin], tgt)
         if (v == u).all():
             return u
         u = v
 
 
-def _prob1_max_cached(pos: np.ndarray, enabled: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """The max objective's prob1 mask, cached by the boolean support."""
-    n, m = enabled.shape
-    key = (n, m, np.packbits(pos).tobytes(), enabled.tobytes(), tgt.tobytes())
-    mask = _MASK_CACHE.get(key)
-    if mask is None:
-        mask = _prob1_max_mask(pos, enabled, tgt)
-        mask.setflags(write=False)
-        # the key bytes held with this key added, recounted: misses are rare
-        if sum(len(k[2]) + len(k[3]) + len(k[4]) for k in (*_MASK_CACHE, key)) > MAX_DENSE_BYTES:
-            _MASK_CACHE.clear()
-        _MASK_CACHE[key] = mask
-    return mask
+def avoid_forever(edges, enabled: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """The min objective's prob0 states (Pmin = 0): the largest set of
+    non-target states each of which has no action or one that stays in it."""
+    free = enabled.any(axis=1)
+    x = ~tgt
+    while True:
+        y = x & (staying_actions(edges, enabled, x).any(axis=1) | ~free)
+        if (y == x).all():
+            return x
+        x = y
 
 
 def _value_iteration(
@@ -145,13 +151,15 @@ def _value_iteration(
     target: set[int],
     objective: str,
     trace: list[np.ndarray] | None = None,
+    prob1: np.ndarray | None = None,
 ) -> ReachValues:
     n, m = model.n_states, len(model.actions)
     tgt = _target_mask(n, target)
     pinned = tgt
     if objective == "max":
-        pos = (model.trans > 0.0) & model.enabled[:, :, None]
-        pinned = _prob1_max_cached(pos, model.enabled, tgt)  # contains the target
+        if prob1 is None:
+            prob1 = prob1_max(np.nonzero(support_mask(model)), model.enabled, tgt)
+        pinned = prob1  # contains the target
     v = pinned.astype(float)
 
     # why this sweep gives the masked loop's floats bit for bit: see the
@@ -197,9 +205,13 @@ def max_reach(
     model: ConcreteModel,
     target: Iterable[int],
     trace: list[np.ndarray] | None = None,
+    prob1: np.ndarray | None = None,
 ) -> ReachValues:
-    """Best-case (policy-maximal) probability of eventually reaching target."""
-    return _value_iteration(model, set(target), "max", trace)
+    """Best-case (policy-maximal) probability of eventually reaching target.
+
+    `prob1`, when given, must be the prob1 mask of this model's support
+    and target (`prob1_max`); it is computed otherwise."""
+    return _value_iteration(model, set(target), "max", trace, prob1)
 
 
 def min_reach(

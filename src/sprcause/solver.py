@@ -8,8 +8,10 @@ an irredundant index set greedily, and attach the PAC bounds.
 
 Everything is deterministic given (model, distribution, N, delta, beta,
 seed); worker count only changes scheduling, never results: the distinct
-points go out in chunks of ceil(points / workers), one process per worker,
-never more than the points or the usable CPUs.
+points go out in chunks of ceil(points / workers), one process per chunk,
+never more than the points or the usable CPUs.  A chunk builds one
+support table (`sprcheck.support_table`) per boolean support it meets and
+shares it among its points; the serial path is one chunk.
 """
 
 from __future__ import annotations
@@ -31,7 +33,13 @@ from .bounds import (
     tail_root,
 )
 from .model import ParametricModel, instantiate, support_graph
-from .sprcheck import single_state_verdict_exact, singleton_causes
+from .sprcheck import (
+    SupportTable,
+    single_state_verdict_exact,
+    singleton_causes,
+    support_key,
+    support_table,
+)
 from . import exact as exact_mod
 from .sampling import DistSpec, SampleBatch, align_dist, sample
 
@@ -99,19 +107,30 @@ def usable_cpus() -> int:
 
 
 def _analyze_point(
-    pmodel: ParametricModel, point: tuple[float, ...], config: SolveConfig
+    pmodel: ParametricModel, point: tuple[float, ...], config: SolveConfig,
+    tables: dict[bytes, SupportTable],
 ) -> SampleAnalysis:
     concrete = instantiate(pmodel, point)
-    verdicts = singleton_causes(concrete)
+    key = support_key(concrete)
+    if key not in tables:
+        tables[key] = support_table(concrete)
+    verdicts = singleton_causes(concrete, table=tables[key])
     if config.exact_corners and concrete.n_states <= DEFAULT_STATE_CAP:
-        # the initial state's corner is exact by construction (q0 = w_c)
+        # graph corners, the initial state's included, are exact already
         corners = [c for c, v in verdicts.items()
-                   if v.branch.startswith("corner") and c != concrete.initial]
+                   if v.branch.startswith("corner") and v.decided == "float"]
         rational = exact_mod.from_concrete(concrete) if corners else None
         for c in corners:
             verdicts[c] = single_state_verdict_exact(rational, c, set(concrete.effect))
     causes = frozenset(c for c, v in verdicts.items() if v.sign == 1)
     return SampleAnalysis(cause_states=causes, graph=support_graph(concrete))
+
+
+def _analyze_chunk(
+    pmodel: ParametricModel, points: list[tuple[float, ...]], config: SolveConfig
+) -> list[SampleAnalysis]:
+    tables: dict[bytes, SupportTable] = {}
+    return [_analyze_point(pmodel, p, config, tables) for p in points]
 
 
 def analyze_batch(
@@ -126,15 +145,16 @@ def analyze_batch(
         )
     points = [tuple(float(x) for x in p) for p in batch.points]
     distinct = sorted(set(points))
-    analyze = partial(_analyze_point, pmodel, config=config)
+    analyze = partial(_analyze_chunk, pmodel, config=config)
     workers = min(config.workers, len(distinct), usable_cpus())
     if workers > 1:
-        chunksize = math.ceil(len(distinct) / workers)
-        # one process per chunk: ceil(points / chunksize) can be below `workers`
-        with ProcessPoolExecutor(max_workers=math.ceil(len(distinct) / chunksize)) as pool:
-            results = list(pool.map(analyze, distinct, chunksize=chunksize))
+        size = math.ceil(len(distinct) / workers)
+        # one process per chunk: ceil(points / size) can be below `workers`
+        chunks = [distinct[i:i + size] for i in range(0, len(distinct), size)]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            results = [a for part in pool.map(analyze, chunks) for a in part]
     else:
-        results = list(map(analyze, distinct))
+        results = analyze(distinct)
     by_point = dict(zip(distinct, results))
     return AnalysisBatch.of(pmodel.initial, pmodel.effect, (by_point[p] for p in points))
 

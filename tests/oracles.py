@@ -17,7 +17,8 @@ restricted estimators.  `rational_to_concrete` is the float twin of a
 rational MDP, for float-against-exact comparisons.
 
 `from_parametric` (a parametric model at an exact rational point),
-`enabled_actions`, `spec_to_json` and `binomial_cdf` (the float value of
+`enabled_actions`, `spec_to_json`, `sink_lattice_grid` (the 110-state
+open grid of the large digests) and `binomial_cdf` (the float value of
 the binomial tail that `tail_root` decides against) are helpers that only
 tests call, and
 `sample_analyses` reads each sample's analysis back from a batch's classes.
@@ -46,7 +47,7 @@ from scipy import integrate
 from sprcause.bounds import _log_cdf
 from sprcause.exact import RationalMDP
 from sprcause.expr import evaluate
-from sprcause.gridworld import GridSpec
+from sprcause.gridworld import GridSpec, derive_careful, generate
 from sprcause.model import ConcreteModel, ModelError, ParametricModel, instantiate, support_graph
 from sprcause.reach import VI_TOL, reachable_avoiding
 from sprcause.sampling import sample
@@ -143,9 +144,26 @@ def rational_to_concrete(mdp: RationalMDP, effect) -> ConcreteModel:
     )
 
 
+def sink_lattice_grid() -> ParametricModel:
+    """A 110-state open grid: no obstacles, a red corner behind two risky
+    cells, absorbing sinks on a lattice and no "stay" elsewhere, so the slip
+    gives the max objective values strictly between 0 and 1 and slow cycles."""
+    width, height = 10, 11
+    red = frozenset({(9, 10)})
+    risky = {(8, 10): "p1", (9, 9): "p2"}
+    moves = ("up", "right", "down", "left")
+    one_way = {(x, y): moves for x in range(width) for y in range(height)
+               if (x, y) not in red and (x, y) not in risky}
+    one_way.update({(x, y): ("stay",) for x in range(1, width, 3) for y in range(1, height, 3)})
+    return generate(GridSpec(
+        width=width, height=height, start=(0, 0), obstacles=frozenset(), red=red, risky=risky,
+        careful=derive_careful(red, risky, frozenset(), width, height), one_way=one_way,
+    ))
+
+
 def prob1_max_mask_dense(pos: np.ndarray, enabled: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     """The max objective's prob1 states by the double fixpoint over the
-    dense (S, A, S) support; the reference for `reach._prob1_max_mask`."""
+    dense (S, A, S) support; the reference for `reach.prob1_max`."""
     u = np.ones(tgt.shape, dtype=bool)
     while True:
         allin = ~((pos & ~u[None, None, :]).any(axis=2)) & enabled

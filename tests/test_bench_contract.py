@@ -35,12 +35,13 @@ def test_optimal_actions_stays_a_property():
     assert isinstance(reach.ReachValues.__dict__["optimal_actions"], property)
 
 
-# branches (strict-greater, strict-less, corner-reachable, corner-unreachable);
-# every corner off the initial state reads optimal_actions once per state of
-# the 7-state modified model
+# branches (strict-greater, strict-less, corner-reachable, corner-unreachable)
+# of the traced verdicts: the support table decides the pivots with w_c = 0
+# or 1 and makes no span, and every corner off the initial state reads
+# optimal_actions once per state of the 7-state modified model
 @pytest.mark.parametrize("point, branches, optimal_calls", [
-    ((0.3, 0.6), (2, 2, 1, 0), 0),
-    ((0.5, 0.5), (1, 1, 3, 0), 14),
+    ((0.3, 0.6), (1, 1, 1, 0), 0),
+    ((0.5, 0.5), (0, 0, 3, 0), 14),
 ])
 def test_traced_verdict_pass_yields_the_layer_counts(tracer, point, branches, optimal_calls):
     concrete = model.instantiate(fixtures.builtin_model("example"), point)
@@ -55,7 +56,10 @@ def test_traced_verdict_pass_yields_the_layer_counts(tracer, point, branches, op
     got = tuple(metrics[f"sprcheck.branch.{b}"] for b in (
         "strict-greater", "strict-less", "corner-reachable", "corner-unreachable"))
     assert got == branches
-    assert sum(got) == len(verdicts)
+    # the initial state's verdict is a graph verdict, but it is traced
+    graph = [c for c, v in verdicts.items() if v.decided == "graph" and c != concrete.initial]
+    assert len(graph) == 2
+    assert sum(got) + len(graph) == len(verdicts)
     assert metrics["reach.min_reach_calls"] == 1
-    assert metrics["reach.max_reach_calls"] == len(verdicts) - 1  # the initial state needs none
+    assert metrics["reach.max_reach_calls"] == sum(got) - 1  # the initial state needs none
     assert metrics["reach.optimal_actions_calls"] == optimal_calls

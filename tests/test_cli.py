@@ -100,6 +100,25 @@ def test_check_reports_branches(runner):
     assert "w_c=0.6" in result.output
 
 
+def test_check_says_how_each_verdict_was_decided(runner):
+    # s3 (w_c = 1) and s4 (w_c = 0) are decided on the support, s0 is the
+    # initial state (q0 = w_c by construction); q_s0 is printed for all
+    args = ["check", "--model", "example", "--point", "0.3,0.6", "s0", "s1", "s2", "s3", "s4"]
+    plain = runner.invoke(main, args)
+    assert plain.exit_code == 0
+    lines = plain.output.splitlines()
+    assert [line.split()[-1] for line in lines[:5]] == [
+        "decided=graph", "decided=float", "decided=float", "decided=graph", "decided=graph"]
+    assert lines[3] == ("s3: sign=+1 branch=strict-greater w_c=1.0000000000 q_s0=0.4800000000"
+                        " decided=graph")
+    assert lines[4] == ("s4: sign=-1 branch=strict-less w_c=0.0000000000 q_s0=0.4800000000"
+                        " decided=graph")
+    assert "nan" not in plain.output
+    exact = runner.invoke(main, args + ["--exact"])
+    assert exact.exit_code == 0
+    assert [line.split()[-1] for line in exact.output.splitlines()[:5]] == ["decided=exact"] * 5
+
+
 def test_check_unknown_state_exits_one(runner):
     result = runner.invoke(main, [
         "check", "--model", "example", "--point", "0.3,0.6", "nosuch",

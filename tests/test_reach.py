@@ -13,24 +13,39 @@ from oracles import (
     prob1_max_mask_dense,
     random_rational_mdp,
     rational_to_concrete,
+    sink_lattice_grid,
     value_iteration_loop,
 )
 from sprcause import fixtures, reach
 from sprcause.exact import RationalMDP, exact_reach
 from sprcause.gridworld import GridSpec, derive_careful, generate
-from sprcause.model import ConcreteModel, Graph, instantiate, parse_model, support_graph
+from sprcause.model import (
+    ConcreteModel,
+    Graph,
+    instantiate,
+    parse_model,
+    support_graph,
+    support_mask,
+)
 from sprcause.reach import (
     KAPPA_ACT,
-    _prob1_max_cached,
-    _prob1_max_mask,
     _target_mask,
+    avoid_forever,
     exists_path_via,
     max_reach,
     min_reach,
+    prob1_max,
     reachable_avoiding,
 )
 from sprcause.sampling import align_dist, sample
-from sprcause.sprcheck import build_modified, cause_front, satisfies_minimality, singleton_causes
+from sprcause.sprcheck import (
+    _modified_support,
+    build_modified,
+    cause_front,
+    satisfies_minimality,
+    support_key,
+    support_table,
+)
 
 CHAIN = parse_model(json.dumps({
     "states": ["s0", "e"],
@@ -131,6 +146,20 @@ def test_float_values_are_exactly_zero_where_the_exact_values_are(case):
         assert all(got[s] == 0.0 for s in zero), (objective, zero, got)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_rational_mdp_and_target())
+def test_qualitative_sets_are_the_exact_zero_and_one_sets(case):
+    # actionless non-target states sit in the min objective's prob0 set
+    mdp, target = case
+    c = rational_to_concrete(mdp, target)
+    edges = np.nonzero(support_mask(c))
+    tgt = _target_mask(c.n_states, target)
+    low = exact_reach(mdp, set(target), "min")
+    high = exact_reach(mdp, set(target), "max")
+    assert avoid_forever(edges, c.enabled, tgt).tolist() == [v == 0 for v in low]
+    assert prob1_max(edges, c.enabled, tgt).tolist() == [v == 1 for v in high]
+
+
 def test_appendix_fixture_matches_policy_formula(appendix_model):
     # the fixture's reach probability under a policy mixing the two initial
     # actions is pi(a)*q + pi(b)*p*p, so the extremes are max/min of (q, p^2)
@@ -214,10 +243,10 @@ def test_exists_path_via_searches_on_from_the_via_states():
     assert not exists_path_via(joined, 0, via=[1], target=[2], avoid=[0])
 
 
-# --- prob1-mask cache and optimal actions --------------------------------
+# --- prob1 masks of the support table, and optimal actions ---------------
 
 def _support(c, target):
-    return (c.trans > 0.0) & c.enabled[:, :, None], _target_mask(c.n_states, target)
+    return support_mask(c), _target_mask(c.n_states, target)
 
 
 def _points(model_name, dist_name, n, seed=3):
@@ -232,83 +261,78 @@ def _points(model_name, dist_name, n, seed=3):
     ("appendix-e", "appendix-e", 8, {"0", "interior"}),
     ("grid-a", "grid", 2, {"0", "interior"}),
 ])
-def test_cached_masks_equal_a_fresh_computation(model_name, dist_name, n, classes_seen,
-                                                monkeypatch):
-    monkeypatch.setattr(reach, "_MASK_CACHE", {})
+def test_cached_masks_equal_a_fresh_computation(model_name, dist_name, n, classes_seen):
+    # every interior pivot's mask in the table is the dense fixpoint of its
+    # modified model, and the table decides exactly the pivots with w_c = 0 or 1
     parametric, points = _points(model_name, dist_name, n)
     classes = set()
     for point in points:
         c = instantiate(parametric, point)
-        singleton_causes(c)  # fills the cache the way the solver does
-        filled = len(reach._MASK_CACHE)
+        table = support_table(c)
         base_min = min_reach(c, c.effect).values
         for pivot in range(c.n_states):
             if pivot in c.effect or pivot == c.initial:
                 continue
             w = float(base_min[pivot])
             classes.add("0" if w == 0.0 else "1" if w == 1.0 else "interior")
+            assert (w == 0.0) == (pivot in table.avoid)
+            assert (pivot in table.masks) != (pivot in table.verdicts)
+            if pivot not in table.masks:
+                assert table.verdicts[pivot].commit_prob in (0.0, 1.0)
+                continue
+            assert 0.0 < w < 1.0
             mod = build_modified(c, pivot, commit_prob=w).model
             pos, tgt = _support(mod, mod.effect)
-            p1 = _prob1_max_cached(pos, mod.enabled, tgt)
-            assert np.array_equal(p1, _prob1_max_mask(pos, mod.enabled, tgt))
-            assert not p1.flags.writeable
-        assert len(reach._MASK_CACHE) == filled  # every lookup above was a hit
+            assert np.array_equal(table.masks[pivot], prob1_max_mask_dense(pos, mod.enabled, tgt))
+            assert not table.masks[pivot].flags.writeable
     assert classes == classes_seen
 
 
-def test_each_commit_class_of_a_pivot_has_its_own_entry(example_model, monkeypatch):
-    # w_c = 0, 1 and in between differ only in the pivot row's support
-    monkeypatch.setattr(reach, "_MASK_CACHE", {})
+def test_each_commit_class_of_a_pivot_has_its_own_entry(example_model):
+    # w_c = 0, 1 and in between differ only in the pivot row's support: the
+    # edge-list form of each modified support gives its model's dense mask,
+    # and the table keeps the interior one
     c = instantiate(example_model, [0.5, 0.5])
-    for w in (0.0, 0.5, 1.0, 0.0, 0.5, 1.0):
-        mod = build_modified(c, c.state_index("s2"), commit_prob=w).model
+    s2, eff, noeff = c.state_index("s2"), min(c.effect), c.n_states
+    edges = np.nonzero(support_mask(c))
+    masks, supports = [], set()
+    for w, heads in ((0.0, (noeff,)), (0.5, (eff, noeff)), (1.0, (eff,))):
+        mod = build_modified(c, s2, commit_prob=w).model
         pos, tgt = _support(mod, mod.effect)
-        p1 = _prob1_max_cached(pos, mod.enabled, tgt)
-        assert np.array_equal(p1, _prob1_max_mask(pos, mod.enabled, tgt))
-    assert len(reach._MASK_CACHE) == 3
+        supports.add(np.packbits(pos).tobytes())
+        mod_edges, mod_enabled = _modified_support(edges, c.enabled, s2, heads)
+        assert np.array_equal(mod_enabled, mod.enabled)
+        masks.append(prob1_max(mod_edges, mod_enabled, tgt))
+        assert np.array_equal(masks[-1], prob1_max_mask_dense(pos, mod.enabled, tgt))
+    assert len(supports) == 3
+    assert np.array_equal(support_table(c).masks[s2], masks[1])
 
 
-def test_cold_and_warm_cache_give_identical_values(monkeypatch):
+def test_cold_and_warm_cache_give_identical_values():
+    # a table built on one sample hands another sample of the same support
+    # the masks that max_reach would compute, so the values are bit for bit
     for model_name, dist_name in (("example", "example"), ("grid-a", "grid")):
         parametric, points = _points(model_name, dist_name, 2, seed=8)
         first, second = (instantiate(parametric, p) for p in points)
-        runs = []
-        for warm_up in (False, True):
-            monkeypatch.setattr(reach, "_MASK_CACHE", {})
-            if warm_up:
-                singleton_causes(first)
-            mod = build_modified(second, second.initial + 1).model
-            runs.append([
-                r(m, m.effect).values.tobytes()
-                for m in (second, mod) for r in (min_reach, max_reach)
-            ])
-        assert runs[0] == runs[1]
-
-
-def test_mask_cache_never_exceeds_its_bound(monkeypatch):
-    # the bound counts key bytes; a key of CHAIN holds 1 + 2 + 2 bytes (packed
-    # support, enabled mask, target mask), so 15 bytes leave room for three
-    monkeypatch.setattr(reach, "_MASK_CACHE", {})
-    monkeypatch.setattr(reach, "MAX_DENSE_BYTES", 15)
-    sizes = []
-    for _ in range(2):  # the second round looks up keys that may have been cleared
-        for p in (0.25, 1.0):
-            c = instantiate(CHAIN, [p])
-            for target in ([], [0], [1], [0, 1]):
-                pos, tgt = _support(c, target)
-                p1 = _prob1_max_cached(pos, c.enabled, tgt)
-                assert np.array_equal(p1, _prob1_max_mask(pos, c.enabled, tgt))
-                held = sum(len(part) for key in reach._MASK_CACHE for part in key[2:])
-                assert held <= 15
-                sizes.append(len(reach._MASK_CACHE))
-    assert max(sizes) == 3 and sizes.count(1) > 1  # filled up, then cleared
+        assert support_key(first) == support_key(second)
+        table = support_table(first)
+        base_min = min_reach(second, second.effect).values
+        assert table.masks
+        for pivot, mask in table.masks.items():
+            mod = build_modified(second, pivot, commit_prob=float(base_min[pivot])).model
+            warm = max_reach(mod, mod.effect, prob1=mask)
+            cold = max_reach(mod, mod.effect)
+            assert (warm.values.tobytes(), warm.residual, warm.sweeps) == (
+                cold.values.tobytes(), cold.residual, cold.sweeps)
 
 
 def test_min_reach_builds_no_mask(example_model, monkeypatch):
-    monkeypatch.setattr(reach, "_MASK_CACHE", {})
+    def refuse(*args):
+        raise AssertionError("min_reach computed a prob1 mask")
+
+    monkeypatch.setattr(reach, "prob1_max", refuse)
     c = instantiate(example_model, [0.5, 0.5])
     min_reach(c, c.effect)
-    assert reach._MASK_CACHE == {}
 
 
 def test_optimal_actions_are_computed_once_per_values(example_model):
@@ -345,7 +369,7 @@ def _support_and_target(draw):
 def test_prob1_mask_matches_the_dense_fixpoint_on_random_supports(case):
     pos, enabled, tgt = case
     for support in (pos, pos & enabled[:, :, None]):
-        got = _prob1_max_mask(support, enabled, tgt)
+        got = prob1_max(np.nonzero(support), enabled, tgt)
         assert np.array_equal(got, prob1_max_mask_dense(support, enabled, tgt))
 
 
@@ -356,7 +380,7 @@ def test_prob1_mask_matches_the_dense_fixpoint_on_every_modified_model(model_nam
     parametric, (point,) = _points(model_name, dist_name, 1)
     for m in _base_and_modified(instantiate(parametric, point)):
         pos, tgt = _support(m, m.effect)
-        assert np.array_equal(_prob1_max_mask(pos, m.enabled, tgt),
+        assert np.array_equal(prob1_max(np.nonzero(pos), m.enabled, tgt),
                               prob1_max_mask_dense(pos, m.enabled, tgt))
 
 
@@ -469,22 +493,8 @@ def test_vi_digest_is_pinned():
 VI_DIGEST_LARGE = "35fe26efb72ceb40ffb3730724a561f9a5374a11aab56783fdecfe8476ff1213"
 
 
-def _sink_lattice_grid():
-    width, height = 10, 11
-    red = frozenset({(9, 10)})
-    risky = {(8, 10): "p1", (9, 9): "p2"}
-    moves = ("up", "right", "down", "left")
-    one_way = {(x, y): moves for x in range(width) for y in range(height)
-               if (x, y) not in red and (x, y) not in risky}
-    one_way.update({(x, y): ("stay",) for x in range(1, width, 3) for y in range(1, height, 3)})
-    return generate(GridSpec(
-        width=width, height=height, start=(0, 0), obstacles=frozenset(), red=red, risky=risky,
-        careful=derive_careful(red, risky, frozenset(), width, height), one_way=one_way,
-    ))
-
-
 def test_vi_digest_on_a_large_open_grid_is_pinned():
-    parametric = _sink_lattice_grid()
+    parametric = sink_lattice_grid()
     assert parametric.n_states == 110
     digest = hashlib.sha256()
     points = np.random.default_rng(31).uniform((0.5, 0.1, 0.1), (0.95, 0.9, 0.9), size=(2, 3))

@@ -22,7 +22,7 @@ from sprcause.cli import main
 from sprcause.exact import from_concrete
 from sprcause.model import instantiate, support_graph
 from sprcause.sampling import SampleBatch, align_dist, parse_dist, sample
-from sprcause.sprcheck import single_state_verdict_exact, singleton_causes
+from sprcause.sprcheck import single_state_verdict_exact, singleton_causes, support_key
 from sprcause.solver import (
     SolveConfig,
     analyze_batch,
@@ -243,6 +243,31 @@ def test_exact_corners_skip_the_initial_state(example_model, example_dist, monke
             if v.branch.startswith("corner"):
                 verdicts[c] = single_state_verdict_exact(rational, c, effect)
         assert analysis.cause_states == frozenset(c for c, v in verdicts.items() if v.sign == 1)
+
+
+def test_a_chunk_builds_one_support_table_per_support(example_model, monkeypatch):
+    # point masses at p = 0 and p = 1 drop s1's edge to s3 or to s4, so the
+    # batch spans three supports; each point's causes are those of a table
+    # built for it alone
+    uniform = {"uniform": [0.2, 0.8]}
+    dist = parse_dist(json.dumps({"mixture": [
+        {"weight": 0.3, "marginals": {"p": {"point": 0.0}, "q": uniform}},
+        {"weight": 0.3, "marginals": {"p": {"point": 1.0}, "q": uniform}},
+        {"weight": 0.4, "marginals": {"p": uniform, "q": uniform}},
+    ]}))
+    built = []
+    original = solver.support_table
+
+    def spy(concrete):
+        built.append(support_key(concrete))
+        return original(concrete)
+
+    monkeypatch.setattr(solver, "support_table", spy)
+    batch = sample(align_dist(dist, example_model.param_space.names), 60, seed=1)
+    analyses = analyze_batch(example_model, batch)
+    assert len(built) == len(set(built)) == 3
+    for point, analysis in zip(batch.points, sample_analyses(analyses)):
+        assert analysis.cause_states == singleton_cause_set(instantiate(example_model, point))
 
 
 def test_select_indices_prefers_superset():

@@ -13,12 +13,14 @@ from oracles import (
     random_rational_mdp,
     rational_to_concrete,
     singleton_cause_set,
+    sink_lattice_grid,
 )
 from sprcause import fixtures
-from sprcause.exact import exact_reach, from_concrete
-from sprcause.model import instantiate, parse_model, support_graph
+from sprcause.exact import RationalMDP, exact_reach, from_concrete
+from sprcause.model import ConcreteModel, instantiate, parse_model, support_graph
 from sprcause.sampling import align_dist, sample
 from sprcause.sprcheck import (
+    BRANCH_CORNER_UNREACHABLE,
     BRANCH_GREATER,
     build_modified,
     cause_front,
@@ -27,6 +29,7 @@ from sprcause.sprcheck import (
     single_state_verdict,
     single_state_verdict_exact,
     singleton_causes,
+    support_table,
 )
 
 
@@ -140,6 +143,84 @@ def test_random_models_match_exact_oracle():
             elif got.sign != want.sign:
                 disagreements += 1
     assert disagreements <= max(1, total // 100)
+
+
+# --- the support table against exact arithmetic ---------------------------
+
+def _graph_verdicts_match_exact(concrete, mdp, effect) -> int:
+    """Every verdict the support table decides is the exact one, and the
+    table's classes are the exact w_c classes; returns the decided count."""
+    table = support_table(concrete)
+    w = exact_reach(mdp, effect, "min")
+    pivots = [c for c in range(mdp.n_states) if c not in effect]
+    assert table.avoid == frozenset(c for c in pivots if w[c] == 0)
+    for c in pivots:
+        if c == mdp.initial:
+            assert c not in table.verdicts and c not in table.masks
+        elif c in table.masks:
+            assert 0 < w[c] < 1
+        else:
+            assert w[c] in (0, 1)
+            got, want = table.verdicts[c], single_state_verdict_exact(mdp, c, effect)
+            assert (got.branch, got.commit_prob, got.decided) == (want.branch, float(w[c]), "graph")
+            assert np.isnan(got.bypass_prob) or got.bypass_prob == want.bypass_prob
+    return len(table.verdicts)
+
+
+def test_graph_verdicts_match_the_exact_verdicts_on_random_models():
+    # random rows over a few states make many end components
+    rng = np.random.default_rng(37)
+    decided = 0
+    for _ in range(300):
+        mdp, effect = random_rational_mdp(rng)
+        decided += _graph_verdicts_match_exact(rational_to_concrete(mdp, effect), mdp, effect)
+    assert decided >= 300
+
+
+@pytest.mark.parametrize("model_name, dist_name, n", [
+    ("example", "example", 40), ("grid-a", "grid", 4),
+])
+def test_graph_verdicts_match_the_exact_verdicts_on_seeded_samples(model_name, dist_name, n):
+    parametric = fixtures.builtin_model(model_name)
+    dist = align_dist(fixtures.builtin_dist(dist_name), parametric.param_space.names)
+    decided = 0
+    for point in sample(dist, n, seed=5).points:
+        concrete = instantiate(parametric, point)
+        decided += _graph_verdicts_match_exact(
+            concrete, from_concrete(concrete), set(parametric.effect))
+    assert decided >= n
+
+
+def test_a_unit_commit_corner_follows_only_the_actions_inside_the_prob1_set():
+    # s0 reaches the effect surely by a0, and c only by a1, which also
+    # risks the sink: w_c = 1 = q0, and no optimal action leads to c
+    half, one = Fraction(1, 2), Fraction(1)
+    s0_rows = ({3: one}, {1: half, 2: half})
+    mdp = RationalMDP(n_states=4, initial=0, rows=(
+        s0_rows, ({3: one}, None), ({2: one}, None), (None, None)))
+    concrete = rational_to_concrete(mdp, {3})
+    table = support_table(concrete)
+    want = single_state_verdict_exact(mdp, 1, {3})
+    assert want.branch == BRANCH_CORNER_UNREACHABLE
+    assert table.verdicts[1].branch == want.branch
+    assert single_state_verdict(concrete, 1).branch == want.branch
+
+
+def test_a_float_commit_of_one_on_an_interior_pivot_takes_no_table_mask():
+    # c's edge to the sink is too small to move its float w_c off 1.0, but
+    # it is in the support: the table's mask, made for 0 < w_c < 1, would
+    # unpin s0 and stop q0 short of 1
+    trans = np.zeros((4, 1, 4))
+    trans[0, 0, :2] = 0.5  # s0 -> s0, c
+    trans[1, 0, 2], trans[1, 0, 3] = 1.0, 1e-17  # c -> effect, sink
+    trans[3, 0, 3] = 1.0
+    concrete = ConcreteModel(
+        states=("s0", "c", "e", "sink"), actions=("a",), initial=0, effect=frozenset({2}),
+        trans=trans, enabled=np.array([[True], [True], [False], [True]]))
+    assert 1 in support_table(concrete).masks
+    got = singleton_causes(concrete)[1]
+    assert got == single_state_verdict(concrete, 1)
+    assert (got.commit_prob, got.bypass_prob) == (1.0, 1.0)
 
 
 # --- minimality and set-level checks --------------------------------------
@@ -258,20 +339,43 @@ def test_canonical_recall_dominance_exhaustive():
 # SHA-256 of the repr of every singleton_causes verdict on fixed seeded
 # samples.  A change that claims to keep the verdict arithmetic bit for bit
 # must keep this digest; a change to the arithmetic replaces it on purpose.
-VERDICT_FINGERPRINT = "8fa15e1f6394493afc2f1ed36f08dacaf160ef88a25dc2969621cba7da9a7913"
+VERDICT_FINGERPRINT = "423983f79a48748a4250f72015c949e5d8cef30941cbdf86475fd246ad3bfe78"
 
 
-def test_verdict_fingerprint_is_pinned():
-    digest = hashlib.sha256()
+def _fingerprint_models():
     for model_name, dist_name, n in (
         ("example", "example", 50), ("appendix-e", "appendix-e", 50), ("grid-a", "grid", 10),
     ):
         parametric = fixtures.builtin_model(model_name)
         dist = align_dist(fixtures.builtin_dist(dist_name), parametric.param_space.names)
         for point in sample(dist, n, seed=11).points:
-            verdicts = singleton_causes(instantiate(parametric, point))
-            digest.update(repr(sorted(verdicts.items())).encode())
+            yield instantiate(parametric, point)
+
+
+def test_verdict_fingerprint_is_pinned():
+    digest = hashlib.sha256()
+    for concrete in _fingerprint_models():
+        verdicts = singleton_causes(concrete)
+        digest.update(repr(sorted(verdicts.items())).encode())
     assert digest.hexdigest() == VERDICT_FINGERPRINT
+
+
+# SHA-256 over (state, branch) of every singleton_causes verdict on the
+# fingerprint's samples and on two seeded samples of the 110-state
+# sink-lattice grid of VI_DIGEST_LARGE.  It holds the branches alone, so
+# any change to how a verdict is reached (graph rules, another numeric
+# engine) must keep it; w_c and q0 may move.
+BRANCH_DIGEST = "41eca2781dc57738a9301e2d0b5b8f5b0e5f69f203a5ff9f6fc80496b1ad873b"
+
+
+def test_branch_digest_is_pinned():
+    large = sink_lattice_grid()
+    points = np.random.default_rng(31).uniform((0.5, 0.1, 0.1), (0.95, 0.9, 0.9), size=(2, 3))
+    digest = hashlib.sha256()
+    for concrete in (*_fingerprint_models(), *(instantiate(large, p) for p in points)):
+        branches = [(c, v.branch) for c, v in sorted(singleton_causes(concrete).items())]
+        digest.update(repr(branches).encode())
+    assert digest.hexdigest() == BRANCH_DIGEST
 
 
 # SHA-256 over the exact layer: every non-effect single_state_verdict_exact

@@ -228,11 +228,12 @@ def test_grid_validate_seed_5008_misses_one_point(grid_model_a, grid_dist):
     assert sorted(grid_model_a.states[s] for s in canonical) == ["c6_5", "c7_7"]
 
 
-# The other `grid-validate` job seeds 1000*s + k (s < 10 with k < 40, and
-# s = 10..29 with k < 30) whose correct output is R = 0.98: each misses
-# exactly one point, so a check of R == 1 misjudges these jobs.
+# The other `grid-validate` job seeds 1000*s + k (s < 30, k < 70) whose
+# correct output is R = 0.98: each misses exactly one point, so a check of
+# R == 1 misjudges these jobs.
 @pytest.mark.parametrize("seed, index", [
-    (7024, 13), (16018, 7), (19004, 8), (21019, 32), (27017, 7), (29005, 49),
+    (4044, 13), (4054, 6), (7024, 13), (16018, 7), (16063, 9), (19004, 8), (21019, 32),
+    (21049, 0), (23051, 9), (27017, 7), (29005, 49),
 ])
 def test_grid_validate_seeds_that_miss_one_point(grid_model_a, grid_dist, seed, index):
     missed, _, _, _ = _missed_points(grid_model_a, grid_dist, seed)
