@@ -23,10 +23,9 @@ from .gridworld import builtin_env, generate, spec_from_json
 from .model import ModelError, instantiate, load_model, model_to_json, support_graph
 from .sampling import DistError, load_dist
 from .solver import DEFAULT_STATE_CAP, SolveConfig, solve, usable_cpus
-from .reach import max_reach
 from .sprcheck import (
-    build_modified,
     satisfies_minimality,
+    single_state_verdict,
     single_state_verdict_exact,
     singleton_causes,
 )
@@ -144,8 +143,7 @@ def check(model_ref, point_str, exact, cause_states):
         v = verdicts[c]
         q0 = v.bypass_prob
         if np.isnan(q0):  # a graph verdict that does not fix q0: compute it to print it
-            modified = build_modified(concrete, c, v.commit_prob).model
-            q0 = float(max_reach(modified, modified.effect).values[concrete.initial])
+            q0 = single_state_verdict(concrete, c, v.commit_prob).bypass_prob
         click.echo(
             f"{concrete.states[c]}: sign={v.sign:+d} branch={v.branch} "
             f"w_c={v.commit_prob:.10f} q_s0={q0:.10f} decided={v.decided}"

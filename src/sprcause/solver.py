@@ -11,7 +11,8 @@ seed); worker count only changes scheduling, never results: the distinct
 points go out in chunks of ceil(points / workers), one process per chunk,
 never more than the points or the usable CPUs.  A chunk builds one
 support table (`sprcheck.support_table`) per boolean support it meets and
-shares it among its points; the serial path is one chunk.
+shares it, with the support graph it holds, among its points; the serial
+path is one chunk.
 """
 
 from __future__ import annotations
@@ -24,15 +25,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
-from .bounds import (
-    AnalysisBatch,
-    SampleAnalysis,
-    cause_probability_bound,
-    cause_sample_count,
-    recall_sample_count,
-    tail_root,
-)
-from .model import ParametricModel, instantiate, support_graph
+from .bounds import (AnalysisBatch, SampleAnalysis, cause_probability_bound, cause_sample_count,
+                     tail_root)
+from .model import ParametricModel, instantiate
 from .sprcheck import (
     SupportTable,
     single_state_verdict_exact,
@@ -114,7 +109,8 @@ def _analyze_point(
     key = support_key(concrete)
     if key not in tables:
         tables[key] = support_table(concrete)
-    verdicts = singleton_causes(concrete, table=tables[key])
+    table = tables[key]
+    verdicts = singleton_causes(concrete, table=table)
     if config.exact_corners and concrete.n_states <= DEFAULT_STATE_CAP:
         # graph corners, the initial state's included, are exact already
         corners = [c for c, v in verdicts.items()
@@ -123,7 +119,7 @@ def _analyze_point(
         for c in corners:
             verdicts[c] = single_state_verdict_exact(rational, c, set(concrete.effect))
     causes = frozenset(c for c, v in verdicts.items() if v.sign == 1)
-    return SampleAnalysis(cause_states=causes, graph=support_graph(concrete))
+    return SampleAnalysis(cause_states=causes, graph=table.graph)
 
 
 def _analyze_chunk(
@@ -239,7 +235,8 @@ def solve_from_analyses(
     s_n = filter_states(analyses, delta, beta, geq=config.geq_filter)
     canonicals = [analyses.canonical(a, s_n) for a in analyses.classes]
     empty = analyses.empty_canonical_samples(s_n)
-    universe = frozenset(range(analyses.n))
+    n = analyses.n
+    universe = frozenset(range(n))
 
     # distinct nonempty canonical causes, each at its first sample; the cover
     # set depends only on the set, and always holds the samples with an empty
@@ -259,7 +256,8 @@ def solve_from_analyses(
 
     # a member whose own bound misses delta cannot sit in the candidate
     # family; drop it and report the honest (possibly lower) zeta
-    eta = {i: cause_probability_bound(member_at[i], analyses, beta) for i in chosen}
+    counts = {i: cause_sample_count(member_at[i], analyses) for i in chosen}
+    eta = {i: tail_root(n - counts[i], n, beta) for i in chosen}
     kept = []
     for i in chosen:
         if eta[i] >= delta if config.geq_filter else eta[i] > delta:
@@ -275,22 +273,21 @@ def solve_from_analyses(
         assert not covers[i] <= rest, "redundant member survived pruning"
 
     chosen = sorted(kept, key=lambda i: sorted(pmodel.states[s] for s in member_at[i]))
-    member_sets = [member_at[i] for i in chosen]
-    m_count = recall_sample_count(member_sets, s_n, analyses)
-    zeta = tail_root(analyses.n - m_count, analyses.n, beta)
+    # the samples some member covers, the empty-canonical ones included
+    m_count = len(empty.union(*(covers[i] for i in chosen)))
 
     names = pmodel.states
     return CauseSolution(
-        members=tuple(frozenset(names[s] for s in m) for m in member_sets),
+        members=tuple(frozenset(names[s] for s in member_at[i]) for i in chosen),
         eta=tuple(eta[i] for i in chosen),
-        n_counts=tuple(cause_sample_count(m, analyses) for m in member_sets),
-        zeta=zeta,
+        n_counts=tuple(counts[i] for i in chosen),
+        zeta=tail_root(n - m_count, n, beta),
         m_count=m_count,
         candidate_states=tuple(sorted(names[s] for s in s_n)),
         indices=tuple(sorted(chosen)),
         delta=delta,
         beta=beta,
-        n_samples=analyses.n,
+        n_samples=n,
         seed=seed,
         empty_canonical_samples=len(empty),
         canonical_causes=(

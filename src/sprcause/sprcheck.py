@@ -24,13 +24,14 @@ set (Pmin = 0), and the effect states are terminal.
   are those that stay inside P, and the corner is "c is reachable over
   them".
 `support_table` applies both rules once per support, and also holds the
-prob1 mask of every other pivot's modified model, whose support does not
-depend on w_c either.  `singleton_causes` takes those verdicts and runs
-value iteration only for the pivots in between, comparing w_c and q0
-within the fixed KAPPA.  A verdict records how it was decided: "graph"
-(from the support; the initial state's verdict is one too, q0 = w_c by
-construction), "float" (the KAPPA comparison) or "exact" (rational
-arithmetic).  A graph verdict's q0 is NaN where its rule does not fix it.
+support graph and, for every other pivot, the prob1 mask of its modified
+model, whose support does not depend on w_c either.  `singleton_causes`
+takes those verdicts and runs value iteration only for the pivots in
+between, comparing w_c and q0 within the fixed KAPPA.  A verdict records
+how it was decided: "graph" (from the support; the initial state's
+verdict is one too, q0 = w_c by construction), "float" (the KAPPA
+comparison) or "exact" (rational arithmetic).  A graph verdict's q0 is NaN
+where its rule does not fix it.
 
 Set-level cause-hood reduces to the singleton verdicts plus the
 minimality condition (M): every member must be reachable without first
@@ -176,6 +177,7 @@ def single_state_verdict(
 class SupportTable:
     """What one boolean support decides, shared by every point with it."""
 
+    graph: Graph  # the support graph, shared by the points' analyses
     avoid: frozenset[int]  # Z, the min objective's avoid-forever set (w = 0)
     verdicts: dict[int, CauseVerdict]  # the pivots with w_c = 0 or 1, decided
     masks: dict[int, np.ndarray]  # the other pivots: their modified model's prob1 mask
@@ -240,7 +242,7 @@ def support_table(model: ConcreteModel) -> SupportTable:
                 verdicts[c] = _corner(c, model.initial, sub.succ, 1.0, 1.0, "graph")
             else:
                 verdicts[c] = CauseVerdict(c, BRANCH_GREATER, 1.0, nan, "graph")
-    return SupportTable(avoid=frozenset(np.flatnonzero(avoid).tolist()),
+    return SupportTable(graph=graph, avoid=frozenset(np.flatnonzero(avoid).tolist()),
                         verdicts=verdicts, masks=masks)
 
 

@@ -46,13 +46,10 @@ def fresh_analyses(
     return analyze_batch(pmodel, sample(dist, n_samples, seed))
 
 
-def _recall_fraction(
-    members: Iterable[frozenset[int]], restrict: frozenset[int], analyses: AnalysisBatch
-) -> Estimate:
-    """Fraction of samples on which some member is recall-optimal."""
+def _recall_fraction(recall_sets: Iterable[frozenset[int]], analyses: AnalysisBatch) -> Estimate:
+    """Fraction of samples in the union of the members' recall sets."""
     # unlike zeta's count, an empty canonical cause counts only if a member hits
-    hits = frozenset().union(*(analyses.recall_samples(m, restrict) for m in members))
-    return Estimate(len(hits) / analyses.n, analyses.n)
+    return Estimate(len(frozenset().union(*recall_sets)) / analyses.n, analyses.n)
 
 
 def estimate_cause_probability(
@@ -83,9 +80,10 @@ def estimate_recall_probability(
     A sample without any singleton cause contributes 0: with no SPR cause
     there is nothing recall-optimal to contain.
     """
-    members = [frozenset(c) for c in collection]
+    restrict = frozenset(candidate_states)
     analyses = fresh_analyses(pmodel, dist, n_samples, seed)
-    return _recall_fraction(members, frozenset(candidate_states), analyses)
+    hits = [analyses.recall_samples(frozenset(c), restrict) for c in collection]
+    return _recall_fraction(hits, analyses)
 
 
 @dataclass(frozen=True)
@@ -109,12 +107,15 @@ def recall_gap(
     analyses: AnalysisBatch,
 ) -> SubsetGap:
     """R of the whole collection and of each leave-one-out collection, from
-    one batch.  Union is monotone, so the largest leave-one-out R is the
-    largest R over all proper subsets: k unions instead of 2^k - 1."""
+    one batch and one recall set per member.  Union is monotone, so the
+    largest leave-one-out R is the largest R over all proper subsets: k
+    unions instead of 2^k - 1."""
     restrict = frozenset(candidate_states)
-    rest = [tuple(members[:i] + members[i + 1:]) for i in range(len(members))]
-    subsets = tuple((combo, _recall_fraction(combo, restrict, analyses)) for combo in rest)
-    return SubsetGap(full=_recall_fraction(members, restrict, analyses), subsets=subsets)
+    hits = [analyses.recall_samples(m, restrict) for m in members]
+    subsets = tuple((tuple(members[:i] + members[i + 1:]),
+                     _recall_fraction(hits[:i] + hits[i + 1:], analyses))
+                    for i in range(len(members)))
+    return SubsetGap(full=_recall_fraction(hits, analyses), subsets=subsets)
 
 
 def subset_recall_gap(

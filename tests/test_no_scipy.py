@@ -39,7 +39,9 @@ def _python(code: str, *argv: str) -> subprocess.CompletedProcess:
     ["identify", "--model", "example", "--dist", "example", "-N", "50", "--workers", "1"],
     ["validate", "--model", "grid-a", "--dist", "grid", "--solution", str(SOLUTION), "-M", "10"],
     ["bounds", "3", "40", "0.9"],
-], ids=["identify", "validate", "bounds"])
+    # graph, float and NaN-q0 verdicts: the last print the q0 of a value iteration
+    ["check", "--model", "example", "--point", "0.3,0.6", "s0", "s1", "s2", "s3", "s4"],
+], ids=["identify", "validate", "bounds", "check"])
 def test_commands_run_the_same_without_scipy(argv):
     blocked = _python(BLOCK_SCIPY + RUN_CLI, *argv)
     free = _python(RUN_CLI, *argv)

@@ -176,13 +176,13 @@ def test_recall_predicate_matches_the_inline_reference(name, dist_name, n):
 
 
 # the cover sets evaluate each distinct canonical cause once per class, and
-# the final count m each member once more per class: 3 causes and 3 classes
-# in both runs, with 1 member (example) and 3 members (grid-a)
+# the final count m is the size of the kept members' cover sets' union, with
+# no evaluation of its own: 3 causes and 3 classes in both runs
 @pytest.mark.parametrize("name, dist_name, n, delta, evaluations", [
-    ("example", "example", 1000, 0.0, 12),
-    ("grid-a", "grid", 100, 0.001, 18),
-])
-def test_solve_evaluates_recall_optimal_once_per_member_and_sample(
+    ("example", "example", 1000, 0.0, 9),
+    ("grid-a", "grid", 100, 0.001, 9),
+], ids=["example", "grid-a"])
+def test_solve_evaluates_recall_optimal_once_per_cause_and_class(
     name, dist_name, n, delta, evaluations, monkeypatch
 ):
     pmodel = fixtures.builtin_model(name)
@@ -196,12 +196,11 @@ def test_solve_evaluates_recall_optimal_once_per_member_and_sample(
         return original(member, batch, analysis, restrict)
 
     monkeypatch.setattr(bounds, "recall_optimal", spy)
-    solution = solve_from_analyses(pmodel, analyses, delta, 0.99, seed=0)
+    solve_from_analyses(pmodel, analyses, delta, 0.99, seed=0)
     s_n = filter_states(analyses, delta, 0.99)
     causes = {analyses.canonical(a, s_n) for a in analyses.classes} - {frozenset()}
     classes = len(analyses.classes)
-    assert len(calls) == evaluations == (len(causes) + len(solution.members)) * classes
-    assert len(calls) <= 2 * len(causes) * classes
+    assert len(calls) == evaluations == len(causes) * classes
 
 
 def test_exact_over_the_state_cap_warns_once(grid_model_a, grid_dist, caplog):
@@ -268,6 +267,19 @@ def test_a_chunk_builds_one_support_table_per_support(example_model, monkeypatch
     assert len(built) == len(set(built)) == 3
     for point, analysis in zip(batch.points, sample_analyses(analyses)):
         assert analysis.cause_states == singleton_cause_set(instantiate(example_model, point))
+
+
+def test_the_analyses_of_one_support_share_its_graph(example_model, example_dist):
+    # every example point of this batch has the same support, and its three
+    # classes hold the one graph the chunk's support table built
+    batch = sample(example_dist, 200, seed=0)
+    analyses = analyze_batch(example_model, batch)
+    concrete = [instantiate(example_model, p) for p in batch.points]
+    assert len({support_key(c) for c in concrete}) == 1
+    assert len(analyses.classes) == 3
+    graph = analyses.classes[0].graph
+    assert all(a.graph is graph for a in analyses.classes)
+    assert all(support_graph(c) == graph for c in concrete)
 
 
 def test_select_indices_prefers_superset():

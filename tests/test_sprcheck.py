@@ -225,6 +225,14 @@ def test_a_float_commit_of_one_on_an_interior_pivot_takes_no_table_mask():
 
 # --- minimality and set-level checks --------------------------------------
 
+def test_a_support_table_holds_the_support_graph():
+    # the analyses of a table's points read this graph instead of their own
+    rng = np.random.default_rng(37)
+    randoms = (rational_to_concrete(*random_rational_mdp(rng)) for _ in range(100))
+    for concrete in (*_fingerprint_models(), *randoms):
+        assert support_table(concrete).graph == support_graph(concrete)
+
+
 def test_minimality_initial_state(example_model):
     c = instantiate(example_model, [0.3, 0.6])
     assert satisfies_minimality(support_graph(c), c.initial, [c.initial])  # empty prefix

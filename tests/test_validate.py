@@ -22,6 +22,7 @@ from sprcause.validate import (
     estimate_cause_probability,
     estimate_recall_probability,
     mean_point_baseline,
+    recall_gap,
     subset_recall_gap,
     vertex_baseline,
 )
@@ -196,6 +197,27 @@ def test_reordered_parameters_give_the_same_answers(example_model, example_dist)
 GRID_SOLUTION = (
     Path(__file__).resolve().parents[1] / "perfbench" / "data" / "grid-a-N100-delta0.001.solution.json"
 )
+
+
+def test_recall_gap_evaluates_each_member_once_per_class(grid_model_a, grid_dist, monkeypatch):
+    # R and the three leave-one-out R are unions of one recall set per member
+    from sprcause import bounds
+
+    doc = json.loads(GRID_SOLUTION.read_text(encoding="utf-8"))
+    members = [frozenset(grid_model_a.state_index(s) for s in m) for m in doc["members"]]
+    s_n = frozenset(grid_model_a.state_index(s) for s in doc["S_N"])
+    analyses = fresh_analyses(grid_model_a, grid_dist, 50, 0)
+    calls = []
+    original = bounds.recall_optimal
+
+    def spy(member, batch, analysis, restrict):
+        calls.append(member)
+        return original(member, batch, analysis, restrict)
+
+    monkeypatch.setattr(bounds, "recall_optimal", spy)
+    recall_gap(members, s_n, analyses)
+    assert len(members) == 3
+    assert len(calls) == len(members) * len(analyses.classes)
 
 
 def _missed_points(pmodel, dist, seed):
